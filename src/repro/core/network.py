@@ -1170,10 +1170,10 @@ class GredNetwork:
         telemetry = registry.enabled
         recorder = default_span_recorder()
         # Grouped storage: when every route delivered, no extension is
-        # installed anywhere and every target server is unbounded, the
-        # per-item store/extension/target work collapses to one bulk
-        # dict update per server (identical storage state — the stable
-        # grouping preserves each server's insertion order).
+        # installed on a delivery serial and every target server is
+        # unbounded, the per-item store/extension/target work collapses
+        # to one bulk dict update per server (identical storage state —
+        # the stable grouping preserves each server's insertion order).
         stored = self._grouped_store(routes, flat_ids, payloads,
                                      copies, switches, server_map)
         t_hops: List[int] = []
@@ -1212,8 +1212,8 @@ class GredNetwork:
                     raise outcome
                 trace, overlay, dest, serial = outcome
                 if stored is not None:
-                    # Already bulk-stored; no extension anywhere, so
-                    # the target is the ``H(d) mod s`` server.
+                    # Already bulk-stored; no extension on any delivery
+                    # serial, so the target is the ``H(d) mod s`` server.
                     extended = False
                     physical = len(trace) - 1
                     server_id = (dest, serial)
@@ -1285,18 +1285,16 @@ class GredNetwork:
         Returns the ``(switch, serial) -> server`` map of stored-to
         servers, or ``None`` when the batch must take the per-item
         path: any routing error (the scalar loop raises mid-batch,
-        storing only the prefix), any installed range extension
-        (per-delivery rewrite decisions), or any bounded target server
-        (per-id ``StorageFull`` ordering).  The stable grouping sort
+        storing only the prefix), a range extension installed on any
+        ``(switch, serial)`` the batch delivers to (per-delivery
+        rewrite decisions), or any bounded target server (per-id
+        ``StorageFull`` ordering).  The stable grouping sort
         preserves each server's item insertion order, so the resulting
         storage state is byte-identical to sequential ``store`` calls.
         """
         k = len(routes)
         if k == 0:
             return {}
-        for switch in switches.values():
-            if switch.table.has_extensions():
-                return None
         for outcome in routes:
             if type(outcome) is not tuple:
                 return None
@@ -1306,22 +1304,20 @@ class GredNetwork:
                              count=k)
         combined = dest * (int(serial.max()) + 1) + serial
         order = np.argsort(combined, kind="stable")
-        ordered = combined[order]
-        groups = np.split(order,
-                          (np.flatnonzero(np.diff(ordered)) + 1))
+        starts = (np.flatnonzero(np.diff(combined[order])) + 1).tolist()
+        order = order.tolist()
         plan = []
         servers: Dict[Any, EdgeServer] = {}
-        for group in groups:
-            first = int(group[0])
-            d = int(dest[first])
-            s = int(serial[first])
+        for lo, hi in zip([0] + starts, starts + [k]):
+            flats = order[lo:hi]
+            _, _, d, s = routes[flats[0]]
             server = server_map[d][s]
-            if server.capacity is not None:
+            if (server.capacity is not None
+                    or switches[d].table.extension_for(s) is not None):
                 return None
             servers[(d, s)] = server
-            plan.append((server, group))
-        for server, group in plan:
-            flats = group.tolist()
+            plan.append((server, flats))
+        for server, flats in plan:
             ids = [flat_ids[f] for f in flats]
             group_payloads = (None if payloads is None else
                               [payloads[f // copies] for f in flats])

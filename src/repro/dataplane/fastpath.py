@@ -10,7 +10,10 @@ decision procedure with no per-packet object construction:
 
 * greedy stage: minimal ``((d^2, x, y), kind, nid)`` candidate strictly
   closer than the current switch, physical (kind 0) before DT-only
-  (kind 1), exactly Algorithm 2's comparison;
+  (kind 1), exactly Algorithm 2's comparison.  The switch's own
+  position sits in its sorted candidate row as a deliver sentinel
+  (kind 2), so one first-occurrence argmin decides forward versus
+  deliver;
 * virtual links: the relay chain toward a DT-only neighbor is resolved
   from the switches' installed ``VirtualLinkEntry`` tuples on first use
   and cached for the epoch;
@@ -18,10 +21,11 @@ decision procedure with no per-packet object construction:
   digest prefix; extension entries are looked up live (range
   extensions come and go without an epoch bump).
 
-:meth:`CompiledRouter.route` walks one request; :meth:`route_batch`
-advances a whole batch in switch-grouped *waves* — every request parked
-at the same switch shares one vectorized candidate evaluation — which
-amortizes the per-hop decision to a few numpy operations per group.
+:meth:`CompiledRouter.route_batch` advances a whole batch in
+switch-grouped *waves* — every in-flight request shares one vectorized
+candidate evaluation per wave — and hands the last few stragglers to a
+scalar walker over the same plane once a wave no longer pays for
+itself.
 
 The router must be rebuilt when the control plane recomputes — callers
 key it on :attr:`Controller.epoch`.  It assumes fault-free forwarding
@@ -104,10 +108,14 @@ def federated_blockers(fed) -> Dict[int, List[str]]:
     }
 
 
-#: ``route_batch`` hands stragglers to the scalar walker once the
-#: active set is this small — whole-batch numpy dispatch no longer
-#: amortizes over a handful of in-flight requests.
-_WAVE_MIN_ACTIVE = 96
+#: ``route_batch`` hands stragglers to the scalar walker once fewer
+#: than this many requests are in flight.  Measured on the 500-switch
+#: uniform-bulk plane (2-vCPU x86-64 VM, ~12.5 cells per row): a wave
+#: costs ~20 us at width 1 and ~50-65 us at width 64, a straggler
+#: ~11-20 us for its whole remaining walk, and 64- and 100-request
+#: batches walk equally fast (within 5%) for any handoff from 8 to 24
+#: in flight — 16 is the middle of that flat crossover.
+_WAVE_MIN_ACTIVE = 16
 
 RouteOutcome = Union[Tuple[List[int], int, int, int], ForwardingError]
 
@@ -115,25 +123,25 @@ RouteOutcome = Union[Tuple[List[int], int, int, int], ForwardingError]
 class _FlatPlane:
     """Dense, padded form of the whole switch plane for wave routing.
 
-    Row ``r`` is the switch with the ``r``-th smallest id; every
-    candidate list is right-padded to the widest switch so one fancy
-    gather yields the candidate block of all in-flight requests at
-    once.  Pad cells carry ``+inf`` positions (their squared distance
-    can never win the argmin against a finite target) and kind 2 /
-    nid -1 sentinels.
+    Row ``r`` is the switch with the ``r``-th smallest id and holds its
+    sorted candidate cells, deliver sentinel included; every row is
+    right-padded to the widest switch so one gather yields the
+    candidate block of all in-flight requests at once.  Pad cells carry
+    ``+inf`` positions (their squared distance can never win the argmin
+    against a finite target) and kind 2 / nid -1 sentinels.
     """
 
     __slots__ = ("sid_sorted", "sid", "ox", "oy", "in_dt", "ns",
                  "cx", "cy", "kind", "nid", "nrow",
                  "chain_off", "chain_len", "chain_err",
-                 "chain_sids", "chain_errors", "chains_built")
+                 "chain_sids", "chain_errors", "chains_built",
+                 "chain_span", "sound", "scalar_rows")
 
     def __init__(self, states: Dict[int, _CompiledSwitch]) -> None:
         sids = sorted(states)
         rows = {sid: r for r, sid in enumerate(sids)}
         n = len(sids)
-        width = max((len(states[sid].cands) for sid in sids), default=0)
-        width = max(width, 1)
+        width = max((len(states[sid].cands) for sid in sids), default=1)
         self.sid_sorted = np.asarray(sids, dtype=np.int64)
         self.sid = self.sid_sorted
         self.ox = np.empty(n, dtype=np.float64)
@@ -145,21 +153,53 @@ class _FlatPlane:
         self.kind = np.full((n, width), 2, dtype=np.int64)
         self.nid = np.full((n, width), -1, dtype=np.int64)
         self.nrow = np.full((n, width), -1, dtype=np.int64)
+        self.scalar_rows = None
         for sid in sids:
-            r = rows[sid]
-            state = states[sid]
-            self.ox[r] = state.x
-            self.oy[r] = state.y
-            self.in_dt[r] = state.in_dt
-            self.ns[r] = max(state.num_servers, 0)
-            for c, (x, y, kind, nid) in enumerate(state.cands):
-                self.cx[r, c] = x
-                self.cy[r, c] = y
-                self.kind[r, c] = kind
-                self.nid[r, c] = nid
-                self.nrow[r, c] = rows.get(nid, -1)
+            self.fill_row(rows[sid], states[sid], rows)
         self.invalidate_chains()
         self._assert_invariants()
+
+    def fill_row(self, r: int, state: _CompiledSwitch,
+                 rows: Dict[int, int]) -> None:
+        """(Re)write row ``r`` from a compiled switch, keeping the
+        scalar walker's cached copy of the row current."""
+        self.ox[r] = state.x
+        self.oy[r] = state.y
+        self.in_dt[r] = state.in_dt
+        self.ns[r] = max(state.num_servers, 0)
+        self.cx[r, :] = np.inf
+        self.cy[r, :] = np.inf
+        self.kind[r, :] = 2
+        self.nid[r, :] = -1
+        self.nrow[r, :] = -1
+        for c, (x, y, kind, nid) in enumerate(state.cands):
+            self.cx[r, c] = x
+            self.cy[r, c] = y
+            self.kind[r, c] = kind
+            self.nid[r, c] = nid
+            self.nrow[r, c] = rows.get(nid, -1)
+        if self.scalar_rows is not None:
+            self.scalar_rows[r] = self._scalar_row(r)
+
+    def _scalar_row(self, r: int) -> tuple:
+        """``(sid, in_dt, cells)`` of row ``r`` as Python values;
+        ``cells`` are the row's non-pad ``(x, y, kind, nid, nrow,
+        col)`` tuples in sorted order."""
+        cells = tuple(
+            cell for cell in zip(
+                self.cx[r].tolist(), self.cy[r].tolist(),
+                self.kind[r].tolist(), self.nid[r].tolist(),
+                self.nrow[r].tolist(), range(self.cx.shape[1]))
+            if cell[0] != np.inf)
+        return int(self.sid[r]), bool(self.in_dt[r]), cells
+
+    def rows_py(self) -> List[tuple]:
+        """Every row as :meth:`_scalar_row` tuples, built once per
+        plane so the straggler walk never touches numpy per hop."""
+        if self.scalar_rows is None:
+            self.scalar_rows = [self._scalar_row(r)
+                                for r in range(self.sid.size)]
+        return self.scalar_rows
 
     def _assert_invariants(self) -> None:
         """Dtype invariant of the compile step: every id/count plane
@@ -189,31 +229,37 @@ class _FlatPlane:
         self.chain_sids = None
         self.chain_errors = None
         self.chains_built = False
+        self.chain_span = None
+        self.sound = False
 
     def attach_chains(self, resolver) -> None:
-        """Resolve every virtual-link cell's relay chain into CSR
-        arrays (``chain_off``/``chain_len`` index a flat ``chain_sids``
-        run) so wave dispatch crosses virtual links without leaving
-        numpy.  Resolution failures are recorded per cell in
-        ``chain_err`` (an index into ``chain_errors``) and surfaced
-        only when a request actually crosses that cell — exactly the
-        behavior of the lazy per-request resolution this replaces."""
+        """Resolve every forwarding cell's chain into CSR arrays
+        (``chain_off``/``chain_len`` index a flat ``chain_sids`` run):
+        a greedy cell's chain is its neighbor alone, a virtual-link
+        cell's the relays through its DT neighbor.  A wave then
+        appends any forward to a trace the same way.  Resolution
+        failures are recorded per cell in ``chain_err`` (an index into
+        ``chain_errors``) and surfaced only when a request actually
+        crosses that cell — exactly the behavior of the lazy
+        per-request resolution this replaces."""
         n, width = self.kind.shape
         off = np.full((n, width), -1, dtype=np.int64)
         length = np.zeros((n, width), dtype=np.int64)
         err = np.full((n, width), -1, dtype=np.int64)
         sids: List[int] = []
         messages: List[str] = []
-        vl_rows, vl_cols = np.nonzero(self.kind == 1)
-        for r, c in zip(vl_rows.tolist(), vl_cols.tolist()):
-            src = int(self.sid[r])
+        rows, cols = np.nonzero(self.kind < 2)
+        for r, c in zip(rows.tolist(), cols.tolist()):
             dst = int(self.nid[r, c])
-            try:
-                chain = resolver(src, dst)
-            except ForwardingError as exc:
-                err[r, c] = len(messages)
-                messages.append(str(exc))
-                continue
+            if self.kind[r, c] == 0:
+                chain = (dst,)
+            else:
+                try:
+                    chain = resolver(int(self.sid[r]), dst)
+                except ForwardingError as exc:
+                    err[r, c] = len(messages)
+                    messages.append(str(exc))
+                    continue
             off[r, c] = len(sids)
             length[r, c] = len(chain)
             sids.extend(chain)
@@ -223,14 +269,22 @@ class _FlatPlane:
         self.chain_sids = np.asarray(sids, dtype=np.int64)
         self.chain_errors = messages
         self.chains_built = True
+        self.summarize_chains()
+
+    def summarize_chains(self) -> None:
+        """Plane-wide facts that let a wave skip per-request checks:
+        ``chain_span`` is ``arange`` of the longest chain, and
+        ``sound`` says every forwarding cell names a known switch and
+        every virtual-link cell resolved its chain."""
+        self.chain_span = np.arange(int(self.chain_len.max(initial=0)))
+        self.sound = not (((self.kind < 2) & (self.nrow < 0)).any()
+                          or (self.chain_err >= 0).any())
 
 
 class _CompiledSwitch:
     """Per-switch state flattened for the hot loop."""
 
-    __slots__ = ("x", "y", "in_dt", "num_servers", "cands", "table",
-                 "cand_x", "cand_y", "cand_kind", "cand_nid",
-                 "neighbors_known")
+    __slots__ = ("x", "y", "in_dt", "num_servers", "cands", "table")
 
     def __init__(self, switch: GredSwitch) -> None:
         self.x = switch.position[0]
@@ -238,13 +292,18 @@ class _CompiledSwitch:
         self.in_dt = switch.in_dt
         self.num_servers = switch.num_servers
         self.table = switch.table
-        # (x, y, kind, nid): physical candidates (kind 0) and DT-only
-        # candidates (kind 1), mirroring the two scans of the greedy
-        # stage.  Neighbors present in both sets are physical-only,
-        # like the reference pipeline.  Sorted by (x, y, kind, nid) so
-        # a first-occurrence argmin over squared distances selects the
-        # same winner as the scalar lexicographic comparison.
-        cands: List[Tuple[float, float, int, int]] = []
+        # (x, y, kind, nid): physical candidates (kind 0), DT-only
+        # candidates (kind 1) — mirroring the two scans of the greedy
+        # stage; neighbors present in both sets are physical-only,
+        # like the reference pipeline — and the switch's own position
+        # as the deliver sentinel (kind 2, nid -1).  Sorted by (x, y,
+        # kind, nid), a first-occurrence argmin over squared distances
+        # selects the scalar lexicographic minimum of ((d^2, x, y),
+        # kind, nid): a neighbor wins exactly when it strictly
+        # improves on the switch's own key, and on a full (d^2, x, y)
+        # tie the neighbor's lower kind beats the sentinel.
+        cands: List[Tuple[float, float, int, int]] = [
+            (self.x, self.y, 2, -1)]
         for nid, pos in switch.physical_neighbor_positions.items():
             cands.append((pos[0], pos[1], 0, nid))
         for nid, pos in switch.dt_neighbor_positions.items():
@@ -252,17 +311,13 @@ class _CompiledSwitch:
                 cands.append((pos[0], pos[1], 1, nid))
         cands.sort()
         self.cands = cands
-        self.cand_x = np.array([c[0] for c in cands], dtype=np.float64)
-        self.cand_y = np.array([c[1] for c in cands], dtype=np.float64)
-        self.cand_kind = np.array([c[2] for c in cands], dtype=np.int64)
-        self.cand_nid = np.array([c[3] for c in cands], dtype=np.int64)
 
 
 def _error_text(code: str, args: tuple, data_id: str) -> str:
     """Materialize a deferred routing-error message.  The packed walk
     records ``(code, args)`` instead of strings so worker shards never
     need the request ids — the parent formats the byte-identical
-    message the scalar engine would have raised."""
+    message the reference engine would have raised."""
     if code == "entry":
         return f"unknown entry switch {args[0]}"
     if code == "relay_only":
@@ -273,13 +328,6 @@ def _error_text(code: str, args: tuple, data_id: str) -> str:
     if code == "unknown_fwd":
         return f"switch {args[0]} forwarded to unknown switch {args[1]}"
     return args[0]
-
-
-def _ragged_arange(lens: np.ndarray) -> np.ndarray:
-    """``[0..lens[0]), [0..lens[1]), ...`` concatenated."""
-    total = int(lens.sum())
-    out = np.arange(total, dtype=np.int64)
-    return out - np.repeat(np.cumsum(lens) - lens, lens)
 
 
 class _PackedRoutes:
@@ -296,20 +344,27 @@ class _PackedRoutes:
     """
 
     __slots__ = ("k", "dest", "serial", "overlay", "greedy", "vl",
-                 "relays", "known", "tlen", "off", "trace_flat",
+                 "relays", "known", "tlen", "trace", "off", "trace_flat",
                  "errors", "hop_failures", "waves", "worker_waves")
 
     def __init__(self, k: int) -> None:
         self.k = k
         self.dest = np.full(k, -1, dtype=np.int64)
         self.serial = np.zeros(k, dtype=np.int64)
-        self.overlay = np.zeros(k, dtype=np.int64)
+        #: Overlay hops (greedy forwards + virtual-link starts), set
+        #: by :meth:`finish`.
+        self.overlay: Optional[np.ndarray] = None
         self.greedy = np.zeros(k, dtype=np.int64)
         self.vl = np.zeros(k, dtype=np.int64)
         self.relays = np.zeros(k, dtype=np.int64)
         self.known = np.ones(k, dtype=bool)
-        # Trace lengths start at 1: the entry switch leads every trace.
+        # Trace lengths start at 1: the entry switch leads every trace,
+        # so a request has walked ``tlen - 1`` physical hops.
         self.tlen = np.ones(k, dtype=np.int64)
+        #: Row ``j`` holds request ``j``'s trace in its first
+        #: ``tlen[j]`` cells while the walk runs; :meth:`finish`
+        #: packs it into ``trace_flat``.
+        self.trace: Optional[np.ndarray] = None
         self.off: Optional[np.ndarray] = None
         self.trace_flat: Optional[np.ndarray] = None
         #: ``(request_index, code, args)`` deferred errors.
@@ -328,45 +383,51 @@ class _PackedRoutes:
         for name, value in state.items():
             setattr(self, name, value)
 
-    def finish(self, entries_arr: np.ndarray, segs: List[tuple]) -> None:
-        """Assemble the flat trace array from the walk's per-wave
-        segments with cumsum offsets + scatter stores — the step that
-        replaces ~one Python ``list.append`` per request per hop."""
+    def begin(self, entries_arr: np.ndarray) -> None:
+        """Start every trace at its entry switch."""
+        self.trace = np.empty((self.k, 16), dtype=np.int64)
+        self.trace[:, 0] = entries_arr
+
+    def reserve(self, cols: int) -> None:
+        """Grow the trace buffer to at least ``cols`` columns."""
+        have = self.trace.shape[1]
+        if cols > have:
+            grown = np.empty((self.k, max(cols, 2 * have)),
+                             dtype=np.int64)
+            grown[:, :have] = self.trace
+            self.trace = grown
+
+    def put_chains(self, idx: np.ndarray, coff: np.ndarray,
+                   lens: np.ndarray, flat: _FlatPlane) -> None:
+        """Append chain ``chain_sids[coff[i]:coff[i] + lens[i]]`` to
+        request ``idx[i]``'s trace, for every ``i`` at once.  Each row
+        receives the plane's longest chain span; cells past its own
+        chain lie beyond ``tlen``, so later steps overwrite them or
+        :meth:`finish` drops them."""
+        span = flat.chain_span
+        start = self.tlen[idx]
+        self.trace[idx[:, None], start[:, None] + span] = \
+            flat.chain_sids.take(coff[:, None] + span, mode="clip")
+        self.tlen[idx] = start + lens
+
+    def finish(self) -> None:
+        """Pack the trace rows into ``trace_flat`` with cumsum offsets
+        and derive the overlay hop counts."""
         k = self.k
+        self.overlay = self.greedy + self.vl
         off = np.zeros(k + 1, dtype=np.int64)
         np.cumsum(self.tlen, out=off[1:])
-        trace_flat = np.empty(int(off[k]), dtype=np.int64)
-        cursor = off[:k].copy()
-        trace_flat[cursor] = entries_arr
-        cursor += 1
-        for seg in segs:
-            tag = seg[0]
-            if tag == 0:
-                # One greedy step for a wave: (0, indices, next_sids).
-                _, idx, sids = seg
-                trace_flat[cursor[idx]] = sids
-                cursor[idx] += 1
-            elif tag == 1:
-                # Relay chains: (1, indices, csr_off, lens, csr_sids).
-                _, idx, coff, clen, csr = seg
-                inner = _ragged_arange(clen)
-                trace_flat[np.repeat(cursor[idx], clen) + inner] = \
-                    csr[np.repeat(coff, clen) + inner]
-                cursor[idx] += clen
-            else:
-                # Straggler continuation: (2, index, [sids...]).
-                _, j, lst = seg
-                start = cursor[j]
-                trace_flat[start:start + len(lst)] = lst
-                cursor[j] += len(lst)
+        trace = self.trace
+        self.trace = None
         self.off = off
-        self.trace_flat = trace_flat
+        self.trace_flat = trace[
+            np.arange(trace.shape[1]) < self.tlen[:, None]]
 
     def stats_list(self) -> List[Optional[Tuple[int, int, int]]]:
         """Per-request ``(greedy, vl_starts, vl_relays)`` decision mix
         with the reference engine's event timing; ``None`` for
-        unknown-entry requests (the scalar walker raises before
-        fetching counters, so they carry no mix at all)."""
+        unknown-entry requests (the reference engine raises before
+        counting anything, so they carry no mix at all)."""
         stats: List[Optional[Tuple[int, int, int]]] = list(zip(
             self.greedy.tolist(), self.vl.tolist(),
             self.relays.tolist()))
@@ -377,9 +438,10 @@ class _PackedRoutes:
 
     def materialize(self, data_ids: Sequence[str],
                     max_hops: int) -> List[RouteOutcome]:
-        """Format the packed arrays into the scalar walker's outcome
-        list: ``(trace, overlay_hops, destination, serial)`` tuples or
-        the exact :class:`ForwardingError` it would have raised."""
+        """Format the packed arrays into one outcome per request:
+        ``(trace, overlay_hops, destination, serial)`` tuples or the
+        exact :class:`ForwardingError` the reference engine would have
+        raised."""
         results: List[Optional[RouteOutcome]] = [None] * self.k
         flat_list = self.trace_flat.tolist()
         off = self.off.tolist()
@@ -402,117 +464,83 @@ class _PackedRoutes:
 
 
 def _continue_plane_scalar(flat: _FlatPlane, packed: _PackedRoutes,
-                           segs: List[tuple], hops: np.ndarray,
                            j: int, row: int, px: float, py: float,
-                           su64: int, max_hops: int) -> None:
+                           max_hops: int) -> Optional[int]:
     """Walk one straggler to completion directly on the dense plane.
 
-    Replaces the old fallback that re-ran stragglers through
-    :meth:`CompiledRouter.route` *from their entry switch*: this
-    continues from the request's current position, reusing the wave
-    prefix already accumulated in ``packed`` (trace, hop count,
-    decision mix), and replays the scalar walker's float arithmetic
-    and tie-breaks exactly — the combined prefix + continuation is
-    byte-identical to the full scalar walk."""
+    Continues from the request's current row, reusing the wave prefix
+    already accumulated in ``packed`` (trace, decision mix), over the
+    plane's cached Python rows.  Each row is sorted with its deliver
+    sentinel, so the first strictly smallest squared distance is the
+    wave argmin's winner — the same float arithmetic and tie-breaks —
+    and prefix + continuation is byte-identical to an all-wave walk.
+    Returns the delivery row, or ``None`` when the walk failed."""
+    rows = flat.rows_py()
     seg: List[int] = []
-    hop = int(hops[j])
+    hop = int(packed.tlen[j]) - 1
+    greedy = vl = relays = 0
     try:
         while True:
-            if not flat.in_dt[row]:
-                packed.errors.append(
-                    (j, "relay_only", (int(flat.sid[row]),)))
-                return
-            ox = float(flat.ox[row])
-            oy = float(flat.oy[row])
-            dx = ox - px
-            dy = oy - py
-            bd2 = dx * dx + dy * dy
-            bx = ox
-            by = oy
-            bkind = 2
-            bnid = -1
-            bcol = -1
-            kinds = flat.kind[row].tolist()
-            cxs = flat.cx[row].tolist()
-            cys = flat.cy[row].tolist()
-            nids = flat.nid[row].tolist()
-            for c, kind in enumerate(kinds):
-                if kind == 2:
-                    break  # pad cells are trailing
-                cx = cxs[c]
-                cy = cys[c]
-                ddx = cx - px
-                ddy = cy - py
-                d2 = ddx * ddx + ddy * ddy
-                if d2 > bd2:
-                    continue
-                if d2 == bd2:
-                    if cx > bx:
-                        continue
-                    if cx == bx:
-                        if cy > by:
-                            continue
-                        if cy == by and (kind > bkind or (
-                                kind == bkind and nids[c] >= bnid)):
-                            continue
-                bd2 = d2
-                bx = cx
-                by = cy
-                bkind = kind
-                bnid = nids[c]
-                bcol = c
-            if bkind == 2:
-                ns = int(flat.ns[row])
-                if ns <= 0:
-                    packed.errors.append(
-                        (j, "no_servers", (int(flat.sid[row]),)))
-                    return
-                packed.dest[j] = int(flat.sid[row])
-                packed.serial[j] = su64 % ns
-                return
-            packed.overlay[j] += 1
-            nrow = int(flat.nrow[row, bcol])
-            if bkind == 0:
-                packed.greedy[j] += 1
+            sid, in_dt, cells = rows[row]
+            if not in_dt:
+                packed.errors.append((j, "relay_only", (sid,)))
+                return None
+            bd2 = np.inf
+            for cell in cells:
+                dx = cell[0] - px
+                dy = cell[1] - py
+                d2 = dx * dx + dy * dy
+                if d2 < bd2:
+                    bd2 = d2
+                    best = cell
+            _, _, kind, nid, nrow, col = best
+            if kind == 2:
+                return row
+            if kind == 0:
+                greedy += 1
                 if nrow < 0:
-                    packed.errors.append(
-                        (j, "unknown_fwd", (int(flat.sid[row]), bnid)))
-                    return
-                seg.append(bnid)
+                    packed.errors.append((j, "unknown_fwd", (sid, nid)))
+                    return None
+                seg.append(nid)
                 hop += 1
                 row = nrow
                 if hop > max_hops:
                     packed.hop_failures.append(j)
-                    return
+                    return None
             else:
-                packed.vl[j] += 1
-                cerr = int(flat.chain_err[row, bcol])
+                vl += 1
+                cerr = int(flat.chain_err[row, col])
                 if cerr >= 0:
                     packed.errors.append(
                         (j, "msg", (flat.chain_errors[cerr],)))
-                    return
+                    return None
                 if nrow < 0:
-                    # The scalar walker would key its states dict with
-                    # the unknown destination next iteration; surface
-                    # the same KeyError.
-                    raise KeyError(bnid)
-                coff = int(flat.chain_off[row, bcol])
-                clen = int(flat.chain_len[row, bcol])
+                    # A virtual link into a switch the plane lacks:
+                    # plane and tables disagree, so the whole batch
+                    # fails with a KeyError naming that switch.
+                    raise KeyError(nid)
+                coff = int(flat.chain_off[row, col])
+                clen = int(flat.chain_len[row, col])
                 chain = flat.chain_sids[coff:coff + clen].tolist()
                 for ci, relay in enumerate(chain):
                     if ci:
-                        packed.relays[j] += 1
+                        relays += 1
                     seg.append(relay)
                     hop += 1
                     if hop > max_hops:
                         packed.hop_failures.append(j)
-                        return
+                        return None
                 row = nrow
     finally:
+        packed.greedy[j] += greedy
+        packed.vl[j] += vl
+        packed.relays[j] += relays
         if seg:
-            segs.append((2, j, seg))
-            packed.tlen[j] += len(seg)
-        hops[j] = hop
+            start = int(packed.tlen[j])
+            end = start + len(seg)
+            packed.reserve(end)
+            packed.trace[j, start:end] = seg
+            packed.tlen[j] = end
 
 
 def _route_batch_packed(flat: _FlatPlane, entries_arr: np.ndarray,
@@ -520,30 +548,34 @@ def _route_batch_packed(flat: _FlatPlane, entries_arr: np.ndarray,
                         serial_u64s: np.ndarray, max_hops: int,
                         min_active: int = _WAVE_MIN_ACTIVE
                         ) -> _PackedRoutes:
-    """Advance a whole batch over the dense plane in switch-grouped
-    waves, keeping every per-request output in numpy arrays.
+    """Advance a whole batch over the dense plane in waves, keeping
+    every per-request output in numpy arrays.
 
     This is the pure-array core shared by the in-process fast path and
     the shared-memory worker shards: it needs only the plane and the
     request arrays (entries, positions, 64-bit digest serials) — no
     request ids, no live router — and returns a :class:`_PackedRoutes`.
-    Stragglers below ``min_active`` continue scalar *on the plane* from
-    their current switch instead of re-walking from the entry, so
-    replica fan-out batches stay on the vectorized path end to end.
+    Once fewer than ``min_active`` requests are in flight, the rest
+    continue scalar *on the plane* from their current switch.
     """
     k = int(entries_arr.size)
     packed = _PackedRoutes(k)
-    dest = packed.dest
-    serial = packed.serial
-    overlay = packed.overlay
     g_arr = packed.greedy
     v_arr = packed.vl
     r_arr = packed.relays
     tlen = packed.tlen
     errors = packed.errors
     hop_failures = packed.hop_failures
-    hops = np.zeros(k, dtype=np.int64)
-    segs: List[tuple] = []
+    packed.begin(entries_arr)
+    # Flat cell index ``row * width + col`` addresses every per-cell
+    # plane array with one 1-D take.
+    width = flat.kind.shape[1]
+    kind_f = flat.kind.ravel()
+    nrow_f = flat.nrow.ravel()
+    nid_f = flat.nid.ravel()
+    off_f = flat.chain_off.ravel()
+    len_f = flat.chain_len.ravel()
+    err_f = flat.chain_err.ravel()
     if flat.sid_sorted.size:
         lookup = np.minimum(
             np.searchsorted(flat.sid_sorted, entries_arr),
@@ -553,6 +585,8 @@ def _route_batch_packed(flat: _FlatPlane, entries_arr: np.ndarray,
         lookup = np.zeros(k, dtype=np.int64)
         known = np.zeros(k, dtype=bool)
     current = lookup.astype(np.int64, copy=True)
+    # Row each request's walk ended at by delivering (-1: not yet).
+    landed = np.full(k, -1, dtype=np.int64)
     packed.known = known
     if known.all():
         active = np.arange(k, dtype=np.int64)
@@ -564,18 +598,24 @@ def _route_batch_packed(flat: _FlatPlane, entries_arr: np.ndarray,
     while active.size:
         packed.waves += 1
         if active.size < min_active:
-            # Stragglers: whole-plane numpy dispatch no longer
-            # amortizes — continue them scalar on the plane from
-            # where they stand (same outcome, no re-walk).
-            for j in active.tolist():
-                _continue_plane_scalar(
-                    flat, packed, segs, hops, j, int(current[j]),
-                    float(pxs[j]), float(pys[j]),
-                    int(serial_u64s[j]), max_hops)
+            # Stragglers: a wave's fixed numpy dispatch cost no longer
+            # amortizes — continue them scalar on the plane from where
+            # they stand (same outcome, no re-walk).
+            for j, row, px, py in zip(
+                    active.tolist(), current[active].tolist(),
+                    pxs[active].tolist(), pys[active].tolist()):
+                row = _continue_plane_scalar(flat, packed, j, row,
+                                             px, py, max_hops)
+                if row is not None:
+                    landed[j] = row
             break
+        # Bound on every trace length after this wave (a forward adds
+        # at most the longest chain).  Within the hop bound on a sound
+        # plane, no forward this wave can fail.
+        ceiling = int(tlen.max()) + flat.chain_span.size
+        packed.reserve(ceiling)
+        safe = flat.sound and ceiling <= max_hops + 1
         rows = current[active]
-        tx = pxs[active]
-        ty = pys[active]
         in_dt = flat.in_dt[rows]
         if not in_dt.all():
             stuck = active[~in_dt]
@@ -586,182 +626,94 @@ def _route_batch_packed(flat: _FlatPlane, entries_arr: np.ndarray,
             if not active.size:
                 break
             rows = rows[in_dt]
-            tx = tx[in_dt]
-            ty = ty[in_dt]
-        ox = flat.ox[rows]
-        oy = flat.oy[rows]
-        dx = ox - tx
-        dy = oy - ty
-        od2 = dx * dx + dy * dy
-        cxb = flat.cx[rows]
-        cyb = flat.cy[rows]
-        cdx = cxb - tx[:, None]
-        cdy = cyb - ty[:, None]
-        d2 = cdx * cdx + cdy * cdy
-        best = d2.argmin(axis=1)
-        bd2 = d2.min(axis=1)
-        improved = bd2 < od2
-        ties = bd2 == od2
-        if ties.any():
-            # Strict improvement over the switch's own key.  The
-            # scalar walker's sentinel kind makes a full (d^2, x, y)
-            # tie win for the candidate, hence ``<=`` on ``y``.  (Pad
-            # cells are at +inf and cannot tie.)
-            t = np.flatnonzero(ties)
-            bx = cxb[t, best[t]]
-            by = cyb[t, best[t]]
-            improved[t] |= (bx < ox[t]) | (
-                (bx == ox[t]) & (by <= oy[t]))
-        if not improved.all():
-            keep = ~improved
-            stay = active[keep]
-            ns = flat.ns[rows[keep]]
-            sids_stay = flat.sid[rows[keep]]
-            # ns is int64 (dtype invariant) but the modulo must stay
-            # exact uint64 arithmetic: int64 % uint64 would promote
-            # to float64 and corrupt serials above 2**53.
-            serials_stay = (serial_u64s[stay] %
-                            np.maximum(ns, 1).astype(np.uint64)
-                            ).astype(np.int64)
-            empty = ns == 0
-            if empty.any():
-                good = ~empty
-                ok_stay = stay[good]
-                dest[ok_stay] = sids_stay[good]
-                serial[ok_stay] = serials_stay[good]
-                for j, sid in zip(stay[empty].tolist(),
-                                  sids_stay[empty].tolist()):
-                    errors.append((j, "no_servers", (sid,)))
-            else:
-                dest[stay] = sids_stay
-                serial[stay] = serials_stay
-            if not improved.any():
+        # Squared distances, computed in place with the reference
+        # engine's exact float operations: dx*dx + dy*dy.
+        d2 = flat.cx.take(rows, axis=0)
+        d2 -= pxs[active][:, None]
+        d2 *= d2
+        dy = flat.cy.take(rows, axis=0)
+        dy -= pys[active][:, None]
+        dy *= dy
+        d2 += dy
+        cell = rows * width
+        cell += d2.argmin(axis=1)
+        kinds = kind_f.take(cell)
+        deliver = kinds == 2
+        if deliver.any():
+            landed[active[deliver]] = rows[deliver]
+            moving = ~deliver
+            if not moving.any():
                 break
-            moved = active[improved]
-            rows_m = rows[improved]
-            best_m = best[improved]
-        else:
-            moved = active
-            rows_m = rows
-            best_m = best
-        overlay[moved] += 1
-        kinds = flat.kind[rows_m, best_m]
-        nrows = flat.nrow[rows_m, best_m]
+            active = active[moving]
+            cell = cell[moving]
+            kinds = kinds[moving]
+        nrows = nrow_f.take(cell)
         phys = kinds == 0
-        if phys.all():
-            pj, prow = moved, nrows
-            vl = None
-        elif not phys.any():
-            pj = prow = None
-            vl = ~phys
-        else:
-            pj = moved[phys]
-            prow = nrows[phys]
-            vl = ~phys
-        phys_ok: Optional[np.ndarray] = None
-        if pj is not None and pj.size:
-            # Engine counts a greedy forward at decision time, before
-            # the unknown-neighbor/hop-bound checks.
-            g_arr[pj] += 1
-            walked = hops[pj] + 1
-            if prow.min() >= 0 and not walked.max() > max_hops:
-                current[pj] = prow
-                hops[pj] = walked
-                segs.append((0, pj, flat.sid[prow]))
-                tlen[pj] += 1
-                phys_ok = pj
-            else:
-                # Unknown neighbor or hop-bound breach somewhere in
-                # this wave: take the exact per-request path.
-                current[pj] = np.maximum(prow, 0)
-                hops[pj] = walked
-                src_rows = rows_m[phys] if vl is not None else rows_m
-                nids_all = flat.nid[rows_m, best_m]
-                pn = nids_all[phys] if vl is not None else nids_all
-                ok: List[int] = []
-                step_idx: List[int] = []
-                step_sid: List[int] = []
-                exceeded = (walked > max_hops).tolist()
-                for j, src, nxt, nrow, exc in zip(
-                        pj.tolist(), flat.sid[src_rows].tolist(),
-                        pn.tolist(), prow.tolist(), exceeded):
-                    if nrow < 0:
-                        errors.append((j, "unknown_fwd", (src, nxt)))
-                        continue
-                    step_idx.append(j)
-                    step_sid.append(nxt)
-                    if exc:
-                        hop_failures.append(j)
-                    else:
-                        ok.append(j)
-                if step_idx:
-                    idx_arr = np.asarray(step_idx, dtype=np.int64)
-                    segs.append((0, idx_arr,
-                                 np.asarray(step_sid, dtype=np.int64)))
-                    tlen[idx_arr] += 1
-                phys_ok = np.asarray(ok, dtype=np.int64)
-        vl_ok: Optional[np.ndarray] = None
-        if vl is not None:
-            vj = moved[vl]
-            if vj.size:
-                # Engine counts the vl start at decision time, before
-                # chain resolution can fail.
-                v_arr[vj] += 1
-                rows_v = rows_m[vl]
-                best_v = best_m[vl]
-                coff = flat.chain_off[rows_v, best_v]
-                clen = flat.chain_len[rows_v, best_v]
-                cerr = flat.chain_err[rows_v, best_v]
-                nrow_v = nrows[vl]
-                good = cerr < 0
-                if not good.all():
-                    for j, ei in zip(vj[~good].tolist(),
-                                     cerr[~good].tolist()):
-                        errors.append(
-                            (j, "msg", (flat.chain_errors[ei],)))
-                unknown_dest = good & (nrow_v < 0)
-                if unknown_dest.any():
-                    # The scalar walker would key its states dict with
-                    # the unknown destination next iteration; surface
-                    # the same KeyError for the first such request.
-                    first = int(np.flatnonzero(unknown_dest)[0])
-                    raise KeyError(int(flat.nid[rows_v, best_v][first]))
-                budget = hops[vj] + clen
-                ok_m = good & (budget <= max_hops)
-                exc_m = good & ~ok_m
-                if ok_m.any():
-                    oj = vj[ok_m]
-                    segs.append((1, oj, coff[ok_m], clen[ok_m],
-                                 flat.chain_sids))
-                    tlen[oj] += clen[ok_m]
-                    hops[oj] = budget[ok_m]
-                    current[oj] = nrow_v[ok_m]
-                    r_arr[oj] += clen[ok_m] - 1
-                    vl_ok = oj
-                if exc_m.any():
-                    # The scalar walker appends relays one by one and
-                    # raises at the breaching step — keep exactly the
-                    # relays up to and including the breach.
-                    ej = vj[exc_m]
-                    part = max_hops - hops[ej] + 1
-                    segs.append((1, ej, coff[exc_m], part,
-                                 flat.chain_sids))
-                    tlen[ej] += part
-                    hops[ej] += part
-                    r_arr[ej] += part - 1
-                    hop_failures.extend(ej.tolist())
-        parts = []
-        if phys_ok is not None and phys_ok.size:
-            parts.append(phys_ok)
-        if vl_ok is not None and vl_ok.size:
-            parts.append(vl_ok)
-        if len(parts) == 2:
-            active = np.concatenate(parts)
-        elif parts:
-            active = parts[0]
-        else:
-            active = np.empty(0, dtype=np.int64)
-    packed.finish(entries_arr, segs)
+        # The engine counts a greedy forward or a virtual-link start
+        # at decision time, before any failure check.
+        g_arr[active] += phys
+        v_arr[active] += ~phys
+        coff = off_f.take(cell)
+        clen = len_f.take(cell)
+        if not safe:
+            # An unknown neighbor, an unresolved chain or the hop
+            # bound may fail some forwards: settle those per request.
+            cerr = err_f.take(cell)
+            chained = cerr < 0
+            unknown_dest = ~phys & chained & (nrows < 0)
+            if unknown_dest.any():
+                # A virtual link into a switch the plane lacks: plane
+                # and tables disagree, so the whole batch fails with a
+                # KeyError naming that switch (first such request).
+                first = int(np.flatnonzero(unknown_dest)[0])
+                raise KeyError(int(nid_f[cell[first]]))
+            lost = phys & (nrows < 0)
+            for j, c in zip(active[lost].tolist(), cell[lost].tolist()):
+                errors.append((j, "unknown_fwd",
+                               (int(flat.sid[c // width]), int(nid_f[c]))))
+            for j, ei in zip(active[~chained].tolist(),
+                             cerr[~chained].tolist()):
+                errors.append((j, "msg", (flat.chain_errors[ei],)))
+            hops = tlen[active] - 1
+            go = chained & ~lost
+            over = go & (hops + clen > max_hops)
+            if over.any():
+                # The reference engine appends switches one by one and
+                # raises at the breaching step — keep exactly the
+                # switches up to and including the breach.
+                oj = active[over]
+                part = max_hops - hops[over] + 1
+                packed.put_chains(oj, coff[over], part, flat)
+                r_arr[oj] += part - 1
+                hop_failures.extend(oj.tolist())
+                go &= ~over
+            active = active[go]
+            nrows = nrows[go]
+            coff = coff[go]
+            clen = clen[go]
+        # Every forward appends its chain; a greedy hop is a
+        # one-switch chain.
+        packed.put_chains(active, coff, clen, flat)
+        r_arr[active] += clen - 1
+        current[active] = nrows
+    done = np.flatnonzero(landed >= 0)
+    drow = landed[done]
+    ns = flat.ns[drow]
+    empty = ns == 0
+    if empty.any():
+        for j, sid in zip(done[empty].tolist(),
+                          flat.sid[drow[empty]].tolist()):
+            errors.append((j, "no_servers", (sid,)))
+        done = done[~empty]
+        drow = drow[~empty]
+        ns = ns[~empty]
+    packed.dest[done] = flat.sid[drow]
+    # ns is int64 (dtype invariant) but the modulo must stay exact
+    # uint64 arithmetic: int64 % uint64 would promote to float64 and
+    # corrupt serials above 2**53.
+    packed.serial[done] = (serial_u64s[done] % ns.astype(np.uint64)
+                           ).astype(np.int64)
+    packed.finish()
     return packed
 
 
@@ -780,12 +732,6 @@ class CompiledRouter:
         self._states: Dict[int, _CompiledSwitch] = {
             sid: _CompiledSwitch(sw) for sid, sw in switches.items()
         }
-        for state in self._states.values():
-            # Lets the wave router skip the unknown-neighbor check in
-            # its hot loop (it stays exact: a False flag falls back to
-            # the per-candidate check the scalar walker performs).
-            state.neighbors_known = all(
-                nid in self._states for nid in state.cand_nid.tolist())
         self._default_max_hops = 4 * len(switches) + 16
         # (switch, dest) -> relay chain (first relay ... dest).
         self._chains: Dict[Tuple[int, int], Tuple[int, ...]] = {}
@@ -801,15 +747,11 @@ class CompiledRouter:
         #: (telemetry: proof the vectorized path ran, and the divisor
         #: for per-wave cost estimates).
         self.last_batch_waves = 0
-        #: ``(greedy_forwards, vl_starts, vl_relays)`` of the most
-        #: recent :meth:`route` call — the per-request decision mix the
-        #: forwarding engine counts one event at a time, recovered here
-        #: so batch telemetry can report the identical counters.
-        #: Updated even when the route fails (partial counts up to the
-        #: failure, exactly like the engine's event-time increments).
-        self.last_route_stats: Tuple[int, int, int] = (0, 0, 0)
         #: Per-request ``(greedy, vl_starts, vl_relays)`` of the most
-        #: recent :meth:`route_batch`, aligned with its results.
+        #: recent :meth:`route_batch`, aligned with its results — the
+        #: decision mix the forwarding engine counts one event at a
+        #: time, recovered so batch telemetry reports identical
+        #: counters (partial counts up to a failure, like the engine).
         self.last_batch_stats: List[Optional[Tuple[int, int, int]]] = []
 
     def patch(self, switches: Dict[int, GredSwitch],
@@ -848,52 +790,30 @@ class CompiledRouter:
                 and not affected.intersection(chain)
             }
         if membership_changed:
-            for state in states.values():
-                state.neighbors_known = all(
-                    nid in states for nid in state.cand_nid.tolist())
             self._flat = None
-        else:
-            for sid in touched:
-                state = states[sid]
-                state.neighbors_known = all(
-                    nid in states for nid in state.cand_nid.tolist())
+        elif self._flat is not None:
+            self._flat = self._patched_flat(touched)
             if self._flat is not None:
-                self._flat = self._patched_flat(touched)
-                if self._flat is not None:
-                    # Patched rows may carry different virtual-link
-                    # candidates and the chain cache was pruned above;
-                    # rebuild the CSR arrays on next use.
-                    self._flat.invalidate_chains()
+                # Patched rows may carry different virtual-link
+                # candidates and the chain cache was pruned above;
+                # rebuild the CSR arrays on next use.
+                self._flat.invalidate_chains()
         self.patch_events += 1
 
     def _patched_flat(self, touched) -> Optional[_FlatPlane]:
-        """Update the dense plane's rows for ``touched`` in place, or
-        return ``None`` (rebuild on next use) when a new candidate list
-        no longer fits the padded width."""
+        """Update the dense plane's rows for ``touched`` in place
+        (deliver sentinel and cached scalar rows included), or return
+        ``None`` (rebuild on next use) when a new candidate row no
+        longer fits the padded width."""
         flat = self._flat
         width = flat.cx.shape[1]
         rows = {sid: r for r, sid in
                 enumerate(flat.sid_sorted.tolist())}
         for sid in touched:
-            r = rows[sid]
-            state = self._states[sid]
-            if len(state.cands) > width:
+            if len(self._states[sid].cands) > width:
                 return None
-            flat.ox[r] = state.x
-            flat.oy[r] = state.y
-            flat.in_dt[r] = state.in_dt
-            flat.ns[r] = max(state.num_servers, 0)
-            flat.cx[r, :] = np.inf
-            flat.cy[r, :] = np.inf
-            flat.kind[r, :] = 2
-            flat.nid[r, :] = -1
-            flat.nrow[r, :] = -1
-            for c, (x, y, kind, nid) in enumerate(state.cands):
-                flat.cx[r, c] = x
-                flat.cy[r, c] = y
-                flat.kind[r, c] = kind
-                flat.nid[r, c] = nid
-                flat.nrow[r, c] = rows.get(nid, -1)
+        for sid in touched:
+            flat.fill_row(rows[sid], self._states[sid], rows)
         return flat
 
     # ------------------------------------------------------------------
@@ -935,116 +855,6 @@ class CompiledRouter:
         self._chains[(source, dest)] = result
         return result
 
-    def route(self, entry: int, data_id: str, px: float, py: float,
-              serial_u64: int, max_hops: Optional[int] = None
-              ) -> Tuple[List[int], int, int, int]:
-        """Route one request; returns ``(trace, overlay_hops,
-        destination_switch, primary_serial)``.
-
-        Byte-identical to ``route_packet`` with no faults/tracing: the
-        trace lists every switch visited (entry first), the hop bound
-        raises the same error, and the primary serial is the
-        ``H(d) mod s`` choice at the delivery switch.
-        """
-        states = self._states
-        if entry not in states:
-            raise ForwardingError(f"unknown entry switch {entry}")
-        if max_hops is None:
-            max_hops = self._default_max_hops
-        trace = [entry]
-        current = entry
-        overlay = 0
-        hops = 0
-        # Decision-mix counts, kept event-time-faithful to the
-        # reference engine (a greedy/vl-start counts at decision time,
-        # a relay before its step's hop-bound check) so partial counts
-        # on a failed route match the engine's too.
-        stats = [0, 0, 0]  # greedy, vl_starts, vl_relays
-        try:
-            while True:
-                state = states[current]
-                if not state.in_dt:
-                    raise ForwardingError(
-                        f"greedy stage reached relay-only switch "
-                        f"{current}"
-                    )
-                ox = state.x
-                oy = state.y
-                dx = ox - px
-                dy = oy - py
-                # Best strictly-improving candidate under the scalar
-                # sort key ((d^2, x, y), kind, nid).  Seeding "best"
-                # with the switch's own key and a sentinel kind is
-                # exact because participant positions are deduplicated
-                # — no candidate can tie the full (d^2, x, y) key of a
-                # distinct switch.
-                bd2 = dx * dx + dy * dy
-                bx = ox
-                by = oy
-                bkind = 2
-                bnid = -1
-                for (cx, cy, kind, nid) in state.cands:
-                    dx = cx - px
-                    dy = cy - py
-                    d2 = dx * dx + dy * dy
-                    if d2 > bd2:
-                        continue
-                    if d2 == bd2:
-                        if cx > bx:
-                            continue
-                        if cx == bx:
-                            if cy > by:
-                                continue
-                            if cy == by and (kind > bkind or (
-                                    kind == bkind and nid >= bnid)):
-                                continue
-                    bd2 = d2
-                    bx = cx
-                    by = cy
-                    bkind = kind
-                    bnid = nid
-                if bkind == 2:
-                    # No neighbor improves: deliver locally.
-                    if state.num_servers <= 0:
-                        raise ForwardingError(
-                            f"switch {current} must deliver "
-                            f"{data_id!r} but has no attached servers"
-                        )
-                    return (trace, overlay, current,
-                            int(serial_u64 % state.num_servers))
-                overlay += 1
-                if bkind == 0:
-                    stats[0] += 1
-                    if bnid not in states:
-                        raise ForwardingError(
-                            f"switch {current} forwarded to unknown "
-                            f"switch {bnid}"
-                        )
-                    trace.append(bnid)
-                    current = bnid
-                    hops += 1
-                    if hops > max_hops:
-                        raise ForwardingError(
-                            f"hop bound {max_hops} exceeded routing "
-                            f"{data_id!r} (trace {trace})"
-                        )
-                else:
-                    stats[1] += 1
-                    for step, relay in enumerate(
-                            self._chain(current, bnid)):
-                        if step:
-                            stats[2] += 1
-                        trace.append(relay)
-                        hops += 1
-                        if hops > max_hops:
-                            raise ForwardingError(
-                                f"hop bound {max_hops} exceeded "
-                                f"routing {data_id!r} (trace {trace})"
-                            )
-                    current = bnid
-        finally:
-            self.last_route_stats = (stats[0], stats[1], stats[2])
-
     # ------------------------------------------------------------------
     def route_batch(self, entries: Sequence[int],
                     data_ids: Sequence[str],
@@ -1054,20 +864,18 @@ class CompiledRouter:
                     ) -> List[RouteOutcome]:
         """Route many requests in switch-grouped waves.
 
-        Each wave groups the in-flight requests by their current
-        switch and evaluates that switch's candidate set against all
-        of them with one vectorized pass; the per-request winner and
-        strict-improvement test replicate :meth:`route`'s float
-        arithmetic and lexicographic tie-breaks exactly, so every
-        outcome is byte-identical to the scalar walk.  The walk itself
-        is the pure-array :func:`_route_batch_packed` program — trace
-        assembly, relay chains and straggler continuation all stay in
-        numpy — and this wrapper materializes its packed result.
+        Each wave evaluates every in-flight request's current
+        candidate row with one vectorized argmin whose float
+        arithmetic and lexicographic tie-breaks match the reference
+        engine exactly, so every outcome is byte-identical to
+        ``route_packet``.  The walk itself is the pure-array
+        :func:`_route_batch_packed` program and this wrapper
+        materializes its packed result.
 
-        Returns one outcome per request, in order: the same
-        ``(trace, overlay_hops, destination_switch, primary_serial)``
-        tuple :meth:`route` produces, or the :class:`ForwardingError`
-        it would have raised (the caller decides whether to raise).
+        Returns one outcome per request, in order: a ``(trace,
+        overlay_hops, destination_switch, primary_serial)`` tuple or
+        the :class:`ForwardingError` the reference engine would have
+        raised (the caller decides whether to raise).
         """
         if max_hops is None:
             max_hops = self._default_max_hops

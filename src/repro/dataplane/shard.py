@@ -130,6 +130,8 @@ def _attach_plane(spec: dict) -> Tuple[_FlatPlane, shared_memory.SharedMemory]:
     plane.sid = plane.sid_sorted
     plane.chain_errors = list(spec["chain_errors"])
     plane.chains_built = True
+    plane.scalar_rows = None
+    plane.summarize_chains()
     return plane, shm
 
 
@@ -289,7 +291,6 @@ class ShardPool:
             sl = slice(lo, hi)
             merged.dest[sl] = packed.dest
             merged.serial[sl] = packed.serial
-            merged.overlay[sl] = packed.overlay
             merged.greedy[sl] = packed.greedy
             merged.vl[sl] = packed.vl
             merged.relays[sl] = packed.relays
@@ -303,6 +304,7 @@ class ShardPool:
             trace_parts.append(packed.trace_flat)
             merged.waves += packed.waves
             merged.worker_waves.append(packed.waves)
+        merged.overlay = merged.greedy + merged.vl
         off = np.zeros(k + 1, dtype=np.int64)
         np.cumsum(merged.tlen, out=off[1:])
         merged.off = off

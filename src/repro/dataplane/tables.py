@@ -98,9 +98,7 @@ class ForwardingTable:
         return self._extensions.get(local_serial)
 
     def has_extensions(self) -> bool:
-        """Whether any range extension is installed (the batch path
-        skips per-delivery extension lookups when no switch has
-        any)."""
+        """Whether any range extension is installed."""
         return bool(self._extensions)
 
     def extensions(self) -> List[ExtensionEntry]:

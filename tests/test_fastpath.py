@@ -21,11 +21,20 @@ from hypothesis import strategies as st
 
 from repro import GredNetwork, utils
 from repro.controlplane import RoutingIndex
+from repro.dataplane import (
+    CompiledRouter,
+    ForwardingError,
+    Packet,
+    PacketKind,
+    fastpath,
+    route_packet,
+)
 from repro.edge import attach_uniform
 from repro.hashing import (
     batch_hash,
     data_position,
     data_positions,
+    positions_from_digests,
     replica_id,
     replica_ids,
     serials_from_digests,
@@ -599,6 +608,31 @@ class TestGroupedStore:
         assert batch.place_many(ids, copies=2, rng=r2) == expected
         assert scalar.load_vector() == batch.load_vector()
 
+    def test_extension_off_the_batch_keeps_bulk_path(self, monkeypatch):
+        """An extension on a switch the batch never delivers to must
+        not push the batch off the grouped store."""
+        scalar, batch = build_pair(switches=20)
+        ids = [f"far/{i}" for i in range(40)]
+        reached = set(batch.destinations_for(ids))
+        idle = next(s for s in batch.switch_ids() if s not in reached)
+        for net in (scalar, batch):
+            net.extend_range(idle, 0)
+        assert batch.controller.switches[idle].table.has_extensions()
+        stored = []
+        grouped = batch._grouped_store
+
+        def spy(*args):
+            stored.append(grouped(*args))
+            return stored[-1]
+
+        monkeypatch.setattr(batch, "_grouped_store", spy)
+        r1, r2 = (np.random.default_rng(7) for _ in range(2))
+        expected = [scalar.place(d, payload=d, rng=r1) for d in ids]
+        assert batch.place_many(ids, payloads=list(ids),
+                                rng=r2) == expected
+        assert stored and stored[-1] is not None
+        assert scalar.load_vector() == batch.load_vector()
+
     def test_grouped_payloads_land_on_the_right_replica(self):
         net, _ = build_pair(switches=20)
         ids = [f"pay/{i}" for i in range(60)]
@@ -661,3 +695,195 @@ class TestDifferentialProperties:
                                         workers=workers) == want
         finally:
             vector.close_worker_pools()
+
+
+def _seeded_batch(net, size, seed, unknown=0, ties=0):
+    """Entries, x/y positions and digest serials of a seeded batch.
+
+    The first ``ties`` targets sit on the midpoint between the entry
+    switch and one of its candidates — often an exact squared-distance
+    tie, decided by the ``(x, y, kind)`` order.  ``unknown`` random
+    entries name switches that do not exist."""
+    rng = np.random.default_rng(seed)
+    digests = sha256_digests([f"w{seed}/{i}" for i in range(size)])
+    positions = positions_from_digests(digests)
+    sids = net.switch_ids()
+    entries = rng.choice(sids, size=size)
+    switches = net.controller.switches
+    for i in range(min(ties, size)):
+        switch = switches[int(entries[i])]
+        near = sorted({**switch.physical_neighbor_positions,
+                       **switch.dt_neighbor_positions}.items())
+        _, (cx, cy) = near[int(rng.integers(len(near)))]
+        positions[i] = ((switch.position[0] + cx) / 2,
+                        (switch.position[1] + cy) / 2)
+    if unknown:
+        count = min(unknown, size)
+        entries[rng.choice(size, size=count, replace=False)] = \
+            max(sids) + 1 + np.arange(count)
+    return (entries.astype(np.int64), positions[:, 0].copy(),
+            positions[:, 1].copy(), serials_from_digests(digests))
+
+
+def _packed_fields(packed):
+    """Every outcome field of a packed walk (errors in request order:
+    their append order depends on which walker caught them)."""
+    return {
+        "dest": packed.dest.tolist(),
+        "serial": packed.serial.tolist(),
+        "off": packed.off.tolist(),
+        "trace": packed.trace_flat.tolist(),
+        "overlay": packed.overlay.tolist(),
+        "greedy": packed.greedy.tolist(),
+        "vl": packed.vl.tolist(),
+        "relays": packed.relays.tolist(),
+        "known": packed.known.tolist(),
+        "errors": sorted(packed.errors),
+        "hop_failures": sorted(packed.hop_failures),
+    }
+
+
+def _walk_three_ways(flat, batch, max_hops):
+    """Route ``batch`` all in waves, with the default straggler
+    handoff, and all scalar; assert the three agree field by field."""
+    size = batch[0].size
+    runs = [fastpath._route_batch_packed(flat, *batch, max_hops,
+                                         min_active=m)
+            for m in (0, fastpath._WAVE_MIN_ACTIVE, size + 1)]
+    fields = [_packed_fields(p) for p in runs]
+    assert fields[0] == fields[1], "default handoff != all waves"
+    assert fields[0] == fields[2], "all stragglers != all waves"
+    return runs[0]
+
+
+class TestWaveStragglerHandoff:
+    """The wave walker and the scalar straggler walker are one
+    program: wherever the handoff falls, every outcome is identical —
+    including hop-bound breaches and unknown entry switches."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=40),
+        switches=st.integers(min_value=10, max_value=40),
+        size=st.integers(min_value=1, max_value=240),
+        max_hops=st.one_of(st.none(),
+                           st.integers(min_value=0, max_value=8)),
+        unknown=st.integers(min_value=0, max_value=4),
+        ties=st.integers(min_value=0, max_value=60),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_handoff_point_does_not_change_outcomes(
+            self, seed, switches, size, max_hops, unknown, ties):
+        net, _ = build_pair(switches=switches, seed=seed)
+        router = net._fast_state().router
+        if max_hops is None:
+            max_hops = router._default_max_hops
+        _walk_three_ways(router._ensure_flat(),
+                         _seeded_batch(net, size, seed, unknown, ties),
+                         max_hops)
+
+    def test_exact_ties_break_like_the_reference_engine(self):
+        net, _ = build_pair(switches=30, seed=4)
+        router = net._fast_state().router
+        batch = _seeded_batch(net, 200, 4, ties=200)
+        packed = _walk_three_ways(router._ensure_flat(), batch,
+                                  router._default_max_hops)
+        outcomes = packed.materialize(["t"] * 200,
+                                      router._default_max_hops)
+        for entry, px, py, outcome in zip(batch[0].tolist(),
+                                          batch[1].tolist(),
+                                          batch[2].tolist(), outcomes):
+            ref = route_packet(
+                net.controller.switches, entry,
+                Packet(PacketKind.RETRIEVAL, "t", (px, py)))
+            assert type(outcome) is tuple, outcome
+            assert outcome[:3] == (ref.trace, ref.overlay_hops,
+                                   ref.destination_switch)
+
+    def test_breaches_hit_greedy_steps_and_relay_chains(self):
+        """A one-hop bound breaches on the second hop: on a greedy
+        step, or inside a relay chain — in waves and in the scalar
+        walker alike."""
+        net, _ = build_pair(switches=40, seed=5)
+        flat = net._fast_state().router._ensure_flat()
+        packed = _walk_three_ways(
+            flat, _seeded_batch(net, 400, 5, unknown=3), 1)
+        breached = packed.hop_failures
+        # Two greedy hops, no virtual link.
+        assert any(packed.vl[j] == 0 for j in breached)
+        # A relay counted means the chain taken on the first hop had
+        # a second switch: the bound fell inside the chain.
+        assert any(packed.relays[j] > 0 for j in breached)
+        assert sum(code == "entry" for _, code, _ in packed.errors) == 3
+
+
+    def test_inconsistent_plane_fails_like_the_reference_engine(self):
+        """A plane compiled without one switch: forwards into it fail
+        per request (unknown neighbor, unresolvable relay chain) the
+        same way in waves, in the scalar walker and in route_packet."""
+        net, _ = build_pair(switches=40, seed=3)
+        switches = net.controller.switches
+        # The missing switch must not be a DT-only neighbor of anyone:
+        # a virtual link *into* an unknown switch fails the whole batch.
+        dt_only = set()
+        for switch in switches.values():
+            dt_only |= (set(switch.dt_neighbor_positions)
+                        - set(switch.physical_neighbor_positions))
+        for victim in sorted(set(switches) - dt_only):
+            subset = {s: sw for s, sw in switches.items() if s != victim}
+            router = CompiledRouter(subset)
+            flat = router._ensure_flat()
+            if (flat.chain_err >= 0).any():
+                break
+        assert not flat.sound
+        entries, pxs, pys, serials = _seeded_batch(net, 300, 3)
+        entries = np.random.default_rng(3).choice(sorted(subset), 300)
+        pxs[:150], pys[:150] = switches[victim].position
+        batch = (entries.astype(np.int64), pxs, pys, serials)
+        packed = _walk_three_ways(flat, batch, router._default_max_hops)
+        codes = [code for _, code, _ in packed.errors]
+        assert "unknown_fwd" in codes and "msg" in codes
+        outcomes = packed.materialize(["t"] * 300,
+                                      router._default_max_hops)
+        for entry, px, py, outcome in zip(entries.tolist(), pxs.tolist(),
+                                          pys.tolist(), outcomes):
+            packet = Packet(PacketKind.RETRIEVAL, "t", (px, py))
+            try:
+                ref = route_packet(subset, entry, packet)
+            except ForwardingError as exc:
+                assert str(outcome) == str(exc)
+                continue
+            assert outcome[:3] == (ref.trace, ref.overlay_hops,
+                                   ref.destination_switch)
+
+
+class TestPatchedPlane:
+    def test_patched_plane_routes_like_a_fresh_compile(self):
+        """A join and a leave rebuild the plane; a link change then
+        patches its rows in place.  The patched plane (sentinel cells
+        and scalar rows included) must route like a fresh compile."""
+        net, _ = build_pair(switches=30, seed=4)
+        warm = [f"pp/{i}" for i in range(64)]
+        net.place_many(warm, rng=np.random.default_rng(0))
+        ids = net.switch_ids()
+        net.add_switch(max(ids) + 1, links=ids[:2], servers_per_switch=3)
+        net.place_many(warm, rng=np.random.default_rng(1))
+        net.remove_switch(ids[5])
+        router = net._fast_state().router
+        flat = router._ensure_flat()
+        flat.rows_py()  # the scalar walker's rows must be patched too
+        topology = net.controller.topology
+        u, v = next(
+            (a, b) for a in sorted(topology, key=topology.degree)
+            for b in sorted(topology, key=topology.degree)
+            if a != b and not topology.has_edge(a, b))
+        net.controller.add_link(u, v)
+        assert net._fast_state().router is router
+        patched = router._ensure_flat()
+        assert patched is flat, "link change rebuilt the plane"
+        fresh = CompiledRouter(net.controller.switches)._ensure_flat()
+        assert patched.rows_py() == fresh.rows_py()
+        batch = _seeded_batch(net, 300, 9)
+        for max_hops in (router._default_max_hops, 3):
+            assert _packed_fields(
+                _walk_three_ways(patched, batch, max_hops)) == \
+                _packed_fields(_walk_three_ways(fresh, batch, max_hops))
