@@ -172,7 +172,8 @@ def run_bench(config: Optional[BenchConfig] = None,
     batch_rng = np.random.default_rng(config.seed + 1)
     equivalence = {"placement_identical": True,
                    "retrieval_identical": True,
-                   "load_vector_identical": True}
+                   "load_vector_identical": True,
+                   "dedup_identical": True}
     place_rounds: Dict[str, List[_Round]] = {"scalar": [], "batch": []}
     get_rounds: Dict[str, List[_Round]] = {"scalar": [], "batch": []}
     bounds = _chunk_bounds(config.requests, config.chunks)
@@ -245,6 +246,18 @@ def run_bench(config: Optional[BenchConfig] = None,
                 equivalence["retrieval_identical"] = False
         if scalar_net.load_vector() != batch_net.load_vector():
             equivalence["load_vector_identical"] = False
+        # Repeated keys: every id twice from one fixed entry, so each
+        # (entry, copy id) key repeats inside the batch and is routed
+        # once; the repeats must still match the scalar loop.
+        entry = scalar_net.switch_ids()[0]
+        probe = [d for d in ids for _ in range(2)]
+        if batch_net.retrieve_many(
+                probe, entry_switches=[entry] * len(probe),
+                copies=config.copies) != [
+                scalar_net.retrieve(d, entry_switch=entry,
+                                    copies=config.copies)
+                for d in probe]:
+            equivalence["dedup_identical"] = False
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -467,7 +480,7 @@ def _bench_telemetry(net, config: BenchConfig) -> Dict[str, Any]:
 
     Times the same batch place+retrieve workload with the metrics
     registry disabled and enabled (best of ``repeats`` each, fresh
-    identifier namespaces so the route cache never crosses modes) and
+    identifier namespaces so every run stores new items) and
     reports the overhead fractions.  ``batch_waves > 0`` proves the
     telemetry-on run still took the wave router — telemetry alone must
     not force the scalar fallback.

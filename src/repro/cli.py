@@ -1133,8 +1133,7 @@ def _cmd_churn(args) -> int:
 
         columns = ["switches", "avg_delta_messages",
                    "avg_switches_touched",
-                   "avg_full_reinstall_messages",
-                   "route_cache_survival"]
+                   "avg_full_reinstall_messages"]
         if args.regions > 1:
             columns = ["switches", "regions", "avg_delta_messages",
                        "avg_switches_touched", "avg_foreign_touched",

@@ -351,10 +351,10 @@ class Controller:
         ship only the difference southbound.  ``global_event`` marks a
         full :meth:`recompute` — every position may have moved, so the
         global epoch advances and every scoped cache (routing index,
-        compiled fast path, route caches) rebuilds.  Scoped events
-        (joins, leaves, link changes, failure absorption) bump only
-        the version and the generations of the touched switches; the
-        routing index is updated in place.
+        compiled fast-path router and its hop distances) rebuilds.
+        Scoped events (joins, leaves, link changes, failure
+        absorption) bump only the version and the generations of the
+        touched switches; the routing index is updated in place.
         """
         registry = default_registry()
         if global_event:

@@ -23,7 +23,6 @@ Typical use::
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -61,36 +60,24 @@ from ..obs.bridge import spans_from_tracer
 from ..obs.spans import default_recorder as default_span_recorder
 from .results import PlacementRecord, PlacementResult, RetrievalResult
 
-#: Bound on the per-epoch ``(entry, copy_id)`` route cache.
-_ROUTE_CACHE_CAP = 65536
-
-
 class _FastPathState:
     """Epoch-scoped request fast path: the compiled router plus the
-    route and hop-distance caches that share its lifetime.
+    hop-distance cache that shares its lifetime.
 
     ``epoch`` tracks the controller's global epoch (a mismatch means
     every position moved — rebuild everything); ``version`` tracks its
     change counter so scoped events (joins, leaves, link changes) can
-    patch the router and evict only the affected cache entries."""
+    patch only the affected router rows.  Routes are not kept across
+    batches: each batch routes its distinct ``(entry, copy_id)`` keys
+    once (see :meth:`GredNetwork._fast_routes`)."""
 
-    __slots__ = ("epoch", "version", "router", "routes", "stats",
-                 "hops")
+    __slots__ = ("epoch", "version", "router", "hops")
 
     def __init__(self, epoch: int, version: int,
                  router: CompiledRouter) -> None:
         self.epoch = epoch
         self.version = version
         self.router = router
-        #: LRU of (entry, copy_id) -> (trace, overlay, dest, serial).
-        #: Traces are shared lists — consumers copy, never mutate.
-        #: Extensions are intentionally NOT cached — they are
-        #: resolved live so extend/retract need no epoch bump.
-        self.routes: OrderedDict = OrderedDict()
-        #: Per-route (greedy, vl_starts, vl_relays) decision mix,
-        #: cached alongside ``routes`` so telemetry replayed from a
-        #: cache hit matches what the engine would have counted.
-        self.stats: Dict[Any, Tuple[int, int, int]] = {}
         #: BFS hop distances keyed by source switch.
         self.hops: Dict[int, Dict[int, int]] = {}
 
@@ -665,16 +652,12 @@ class GredNetwork:
         """The fast-path state, kept in sync with the control plane.
 
         A global-epoch advance (``recompute``: every position moved)
-        rebuilds the compiled router and both caches from scratch.
-        A version advance from scoped events (joins, leaves, link
-        changes, failure absorption) instead asks the controller which
-        switches were touched, patches only their compiled rows, and
-        evicts only the cached routes whose traces traverse a touched
-        switch — a route's every per-hop decision depends solely on
-        the visited switches' installed state, so untouched traces
-        stay byte-identical.  Hop distances are cheap to recompute and
-        topology edits shift them non-locally, so that cache clears
-        wholesale on any change."""
+        rebuilds the compiled router from scratch.  A version advance
+        from scoped events (joins, leaves, link changes, failure
+        absorption) instead asks the controller which switches were
+        touched and patches only their compiled rows.  Hop distances
+        are cheap to recompute and topology edits shift them
+        non-locally, so that cache clears wholesale on any change."""
         controller = self.controller
         state = getattr(self, "_fastpath", None)
         if (state is not None and state.epoch == controller.epoch
@@ -694,15 +677,6 @@ class GredNetwork:
             present = frozenset(s for s in touched if s in switches)
             removed = frozenset(touched) - present
             state.router.patch(switches, present, removed)
-            hop_bound = state.router._default_max_hops
-            stale = [
-                key for key, outcome in state.routes.items()
-                if touched.intersection(outcome[0])
-                or len(outcome[0]) - 1 > hop_bound
-            ]
-            for key in stale:
-                del state.routes[key]
-                state.stats.pop(key, None)
             state.hops.clear()
         state.version = controller.version
         return state
@@ -775,114 +749,84 @@ class GredNetwork:
                      max_hops: Optional[int] = None,
                      stats_out: Optional[List[Any]] = None,
                      workers: Optional[int] = None) -> List[Any]:
-        """Routes for the flat request indices ``flats``, combining the
-        per-epoch LRU cache with one wave-routed batch for the misses.
+        """Routes for the flat request indices ``flats``: one
+        wave-routed batch over their distinct ``(entry, copy_id)`` keys.
 
         Returns one ``(trace, overlay, dest, serial)`` per flat index,
         aligned with ``flats``; a request the reference engine would
         fail maps to its :class:`ForwardingError` instead (callers
-        raise or skip it).  Cached traces are shared — callers must
-        copy, never mutate.  A custom hop budget changes failure
-        behavior, so it bypasses the cache rather than keying on it.
+        raise or skip it).  A route depends only on its entry, its
+        copy id and the hop budget (fixed per call), so each distinct
+        key is routed once and every repeat shares that outcome —
+        traces are shared, callers must copy, never mutate.
 
         When ``stats_out`` is given it receives one per-route
         ``(greedy, vl_starts, vl_relays)`` decision-mix tuple aligned
-        with the returned routes (cache hits replay the mix recorded
-        when the route was first walked), so callers can emit the
-        engine's forwarding counters without re-walking.
+        with the returned routes (a repeat replays its key's mix), so
+        callers can emit the engine's forwarding counters without
+        re-walking.
         """
-        cache = state.routes
-        stat_cache = state.stats
-        if max_hops is not None:
-            routes: List[Any] = [None] * len(flats)
-            stats: List[Any] = [None] * len(flats)
-            misses = list(flats)
-            slots = range(len(flats))
-            miss_keys: Optional[List[Any]] = None
+        # First flat index of every distinct key, in request order.
+        first: Dict[Any, int] = {}
+        setdefault = first.setdefault
+        owners = [setdefault((flat_entries[f], flat_ids[f]), f)
+                  for f in flats]
+        distinct = list(first.values())
+        if not distinct:
+            return []
+        idx = np.asarray(distinct, dtype=np.intp)
+        hop_bound = (max_hops if max_hops is not None
+                     else state.router._default_max_hops)
+        worker_waves: Optional[List[int]] = None
+        if workers is not None and workers > 1:
+            pool = self._shard_pool(workers)
+            pool.sync(state.router, (state.epoch, state.version))
+            packed = pool.route_batch_packed(
+                np.asarray([flat_entries[f] for f in distinct],
+                           dtype=np.int64),
+                positions[idx, 0], positions[idx, 1],
+                serial_u64s[idx], hop_bound)
+            outcomes = packed.materialize(
+                [flat_ids[f] for f in distinct], hop_bound)
+            batch_stats = packed.stats_list()
+            state.router.last_batch_waves = packed.waves
+            state.router.last_batch_stats = batch_stats
+            waves = packed.waves
+            worker_waves = packed.worker_waves
         else:
-            routes = []
-            stats = []
-            misses = []
-            slots = []
-            miss_keys = []
-            append = routes.append
-            for f in flats:
-                key = (flat_entries[f], flat_ids[f])
-                cached = cache.get(key)
-                if cached is None:
-                    slots.append(len(routes))
-                    misses.append(f)
-                    miss_keys.append(key)
-                    append(None)
-                    stats.append(None)
-                else:
-                    cache.move_to_end(key)
-                    append(cached)
-                    stats.append(stat_cache.get(key, (0, 0, 0)))
-        if misses:
-            idx = np.asarray(misses, dtype=np.intp)
-            hop_bound = (max_hops if max_hops is not None
-                         else state.router._default_max_hops)
-            worker_waves: Optional[List[int]] = None
-            if workers is not None and workers > 1:
-                pool = self._shard_pool(workers)
-                pool.sync(state.router, (state.epoch, state.version))
-                packed = pool.route_batch_packed(
-                    np.asarray([flat_entries[f] for f in misses],
-                               dtype=np.int64),
-                    positions[idx, 0], positions[idx, 1],
-                    serial_u64s[idx], hop_bound)
-                outcomes = packed.materialize(
-                    [flat_ids[f] for f in misses], hop_bound)
-                batch_stats = packed.stats_list()
-                state.router.last_batch_waves = packed.waves
-                state.router.last_batch_stats = batch_stats
-                waves = packed.waves
-                worker_waves = packed.worker_waves
-            else:
-                outcomes = state.router.route_batch(
-                    [flat_entries[f] for f in misses],
-                    [flat_ids[f] for f in misses],
-                    positions[idx, 0], positions[idx, 1],
-                    serial_u64s[idx], max_hops=max_hops,
-                )
-                batch_stats = state.router.last_batch_stats
-                waves = state.router.last_batch_waves
-            registry = default_registry()
-            if registry.enabled:
-                # Batch-only extras (the scalar loop has no waves):
-                # proof the vectorized router ran, and its amortization
-                # denominator.  Prefixed ``dataplane.batch.`` so parity
-                # checks can separate them from the shared aggregates.
-                registry.counter("dataplane.batch.requests").inc(
-                    len(misses))
-                registry.counter("dataplane.batch.waves").inc(waves)
-                if worker_waves is not None:
-                    # Per-shard wave counts aggregate into the same
-                    # total above; the per-worker counters expose the
-                    # shard balance.
-                    for w, wv in enumerate(worker_waves):
-                        registry.counter(
-                            "dataplane.batch.worker_waves",
-                            worker=w).inc(wv)
-            if miss_keys is None:
-                for slot, out, st in zip(slots, outcomes, batch_stats):
-                    routes[slot] = out
-                    stats[slot] = st
-            else:
-                for slot, key, out, st in zip(
-                        slots, miss_keys, outcomes, batch_stats):
-                    routes[slot] = out
-                    stats[slot] = st
-                    if type(out) is tuple:
-                        cache[key] = out
-                        stat_cache[key] = st
-                while len(cache) > _ROUTE_CACHE_CAP:
-                    evicted, _ = cache.popitem(last=False)
-                    stat_cache.pop(evicted, None)
+            outcomes = state.router.route_batch(
+                [flat_entries[f] for f in distinct],
+                [flat_ids[f] for f in distinct],
+                positions[idx, 0], positions[idx, 1],
+                serial_u64s[idx], max_hops=max_hops,
+            )
+            batch_stats = state.router.last_batch_stats
+            waves = state.router.last_batch_waves
+        registry = default_registry()
+        if registry.enabled:
+            # Batch-only extras (the scalar loop has no waves): proof
+            # the vectorized router ran, and its amortization
+            # denominator.  Prefixed ``dataplane.batch.`` so parity
+            # checks can separate them from the shared aggregates.
+            registry.counter("dataplane.batch.requests").inc(
+                len(distinct))
+            registry.counter("dataplane.batch.waves").inc(waves)
+            if worker_waves is not None:
+                # Per-shard wave counts aggregate into the same total
+                # above; the per-worker counters expose the shard
+                # balance.
+                for w, wv in enumerate(worker_waves):
+                    registry.counter(
+                        "dataplane.batch.worker_waves",
+                        worker=w).inc(wv)
+        if len(distinct) < len(owners):
+            slot = {f: u for u, f in enumerate(distinct)}
+            where = [slot[f] for f in owners]
+            outcomes = [outcomes[u] for u in where]
+            batch_stats = [batch_stats[u] for u in where]
         if stats_out is not None:
-            stats_out.extend(stats)
-        return routes
+            stats_out.extend(batch_stats)
+        return outcomes
 
     def _fast_hop(self, state: _FastPathState, source: int,
                   target: int) -> int:
@@ -1093,12 +1037,13 @@ class GredNetwork:
 
         Identifiers are hashed in one pass (one SHA-256 digest per
         replica, reused for position and server selection) and routed
-        through the compiled router with an epoch-scoped route cache.
-        Per-request results are byte-identical to the scalar loop
-        under the same ``rng``; when telemetry is enabled, a fault
-        state is attached, or a custom ``position_fn`` is in use, the
-        batch transparently degrades to the scalar path so metrics
-        and fault handling stay exact.
+        through the compiled router, each distinct ``(entry,
+        copy_id)`` key once per batch.  Per-request results and
+        telemetry are byte-identical to the scalar loop under the same
+        ``rng``; when a fault state is attached, a custom
+        ``position_fn`` is in use or a resilience breaker is tripped,
+        the batch transparently degrades to the scalar path so fault
+        handling stays exact.
 
         Parameters
         ----------
@@ -1111,7 +1056,7 @@ class GredNetwork:
         copies, rng:
             As in :meth:`place`.
         workers:
-            Route uncached requests across this many processes
+            Route the batch's distinct keys across this many processes
             sharing the compiled plane via ``multiprocessing.shared_
             memory`` (results stay byte-identical to the
             single-process path).  ``None``/``1`` routes in-process;

@@ -212,8 +212,6 @@ def run_churn_scaling(
     * ``router_reused`` / ``avg_router_recompiles`` — whether the
       compiled fast-path router object survived all joins and how many
       per-switch recompilations each join cost;
-    * ``route_cache_survival`` — fraction of cached routes that
-      survived the joins' scoped eviction;
     * ``untouched_generations_preserved`` — no un-messaged switch had
       its generation counter bumped.
 
@@ -225,7 +223,7 @@ def run_churn_scaling(
     regions saw messages and how many switches each) plus
     ``avg_foreign_touched`` / ``avg_foreign_messages`` — the
     cross-shard locality gate of ``gred churn --max-foreign-touched``
-    (both must be exactly zero).  The fast-path cache fields are the
+    (both must be exactly zero).  The fast-path router fields are the
     monolith's and are ``None`` in federated rows.
     """
     from ..controlplane import RecordingChannel, compile_messages
@@ -248,9 +246,8 @@ def run_churn_scaling(
         controller = net.controller
         channel = RecordingChannel()
         controller.southbound_channel = channel
-        # Warm the scoped caches so the joins have something to
-        # preserve: the routing index, the compiled router, and a
-        # populated route cache.
+        # Warm the scoped state so the joins have something to
+        # preserve: the routing index and the compiled router.
         controller.closest_switch((0.5, 0.5))
         ids = [f"churn/{num_switches}/{i}" for i in range(256)]
         net.place_many(ids, rng=np.random.default_rng(seed + 2))
@@ -258,8 +255,6 @@ def run_churn_scaling(
         router_before = fast.router if fast is not None else None
         compiles_before = (router_before.switch_compiles
                            if router_before is not None else 0)
-        cached_before = (set(fast.routes) if fast is not None
-                         else set())
         index_builds_before = controller.index_builds
         rng = np.random.default_rng(seed + 1)
         delta_messages: List[int] = []
@@ -305,15 +300,12 @@ def run_churn_scaling(
                         generations_after.get(sid) != generation:
                     generations_preserved = False
             controller.closest_switch((0.25, 0.75))
-        # Force the scoped fast-path update and measure what survived.
+        # Force the scoped fast-path update.
         state = net._fast_state()
         router_reused = (router_before is not None
                          and state.router is router_before)
         recompiles = (state.router.switch_compiles - compiles_before
                       if router_reused else None)
-        surviving = len(cached_before & set(state.routes))
-        survival = (surviving / len(cached_before)
-                    if cached_before else None)
         rows.append({
             "switches": num_switches,
             "regions": 1,
@@ -330,7 +322,6 @@ def run_churn_scaling(
             "avg_router_recompiles": (
                 recompiles / num_joins if recompiles is not None
                 else None),
-            "route_cache_survival": survival,
             "untouched_generations_preserved": generations_preserved,
         })
     return {
@@ -467,7 +458,6 @@ def _federated_churn_scaling(
             "index_builds_during_joins": index_builds,
             "router_reused": None,
             "avg_router_recompiles": None,
-            "route_cache_survival": None,
             "untouched_generations_preserved": generations_preserved,
             "join_events": join_events,
         })
@@ -496,8 +486,7 @@ def main() -> None:
     print_table(run_churn_scaling()["rows"],
                 ["switches", "avg_delta_messages",
                  "avg_switches_touched",
-                 "avg_full_reinstall_messages",
-                 "route_cache_survival"],
+                 "avg_full_reinstall_messages"],
                 "X6b: delta vs full-reinstall control traffic")
 
 

@@ -236,6 +236,7 @@ class TestBench:
         for section in ("placement", "retrieval"):
             assert report[section]["scalar"]["requests_per_sec"] > 0
             assert report[section]["batch"]["p99_us"] > 0
+        assert report["equivalence"]["dedup_identical"] is True
         assert all(report["equivalence"].values())
         text = capsys.readouterr().out
         assert "speedup" in text

@@ -7,8 +7,8 @@ refactor.  After any sequence of dynamics events the delta-maintained
 switches must hold byte-identical state to a fresh rebuild, and
 forwarding over both must make identical decisions.  A second group of
 tests pins the *scoped* invalidation behavior: a join must not bump
-untouched switches' generations, rebuild the routing index, or evict
-unrelated cached routes.
+untouched switches' generations, rebuild the routing index, or
+recompile the whole fast-path router.
 """
 
 import numpy as np
@@ -280,30 +280,13 @@ class TestScopedInvalidation:
                           cvt_iterations=5, seed=0)
         net.place_many([f"warm-{i}" for i in range(64)],
                        rng=np.random.default_rng(0))
-        state = net._fast_state()
-        router = state.router
-        cached = {key: outcome for key, outcome
-                  in state.routes.items()}
-        assert cached, "fast path did not populate the route cache"
+        router = net._fast_state().router
         compiles = router.switch_compiles
-        version = net.controller.version
         net.add_switch(100, links=[0, 5], servers_per_switch=2)
         after = net._fast_state()
         # Same router object, patched — not a full recompilation.
         assert after.router is router
         assert 0 < router.switch_compiles - compiles < 16
-        touched = net.controller.changes_since(version)
-        assert touched is not None
-        for key, outcome in cached.items():
-            survived = key in after.routes
-            intersects = bool(touched.intersection(outcome[0]))
-            if survived:
-                assert not intersects, \
-                    f"stale route via touched switches kept: {key}"
-            elif not intersects:
-                hops = len(outcome[0]) - 1
-                assert hops > after.router._default_max_hops, \
-                    f"unrelated cached route evicted: {key}"
 
     def test_fastpath_retrievals_correct_after_scoped_update(self):
         topology = grid_graph(4, 4)
@@ -312,7 +295,7 @@ class TestScopedInvalidation:
         ids = [f"warm-{i}" for i in range(48)]
         net.place_many(ids, payloads=[i for i in range(48)],
                        rng=np.random.default_rng(0))
-        net._fast_state()  # warm the cache before the join
+        net._fast_state()  # compile the router before the join
         net.add_switch(100, links=[0, 5], servers_per_switch=2)
         entries = [i % 16 for i in range(48)]
         batch = net.retrieve_many(ids, entry_switches=entries)

@@ -6,8 +6,10 @@ Pins the contracts the fast path is built on:
 * ``place_many`` / ``retrieve_many`` / ``destinations_for`` return
   byte-identical per-request outcomes to the scalar loop under the
   same seed — including replicas, misses, and hop-budget failures;
-* the epoch-scoped route cache is invalidated by every control-plane
-  mutation (recompute, join, leave, failure absorption);
+* repeated ``(entry, copy_id)`` keys in one batch are routed once and
+  still yield the scalar loop's outcomes, telemetry and private traces;
+* the compiled router follows every control-plane mutation
+  (recompute, join, leave, failure absorption);
 * the grid routing index agrees with the brute-force nearest-switch
   scan everywhere, ties included.
 """
@@ -162,22 +164,23 @@ class TestBatchScalarEquivalence:
         assert net.destinations_for(ids) == \
             [net.destination_switch(d) for d in ids]
 
-    def test_cached_routes_are_stable(self):
-        """A second identical batch is served from the route cache and
-        must still equal the scalar outcome (shared traces are copied,
-        never mutated)."""
+    def test_repeated_keys_are_stable(self):
+        """A batch that repeats every key shares one routed outcome
+        per key and must still equal the scalar outcome (shared
+        traces are copied, never mutated)."""
         scalar, batch = build_pair()
-        ids = [f"cache/{i}" for i in range(80)]
+        ids = [f"same/{i}" for i in range(80)]
         scalar.place_many(ids, rng=np.random.default_rng(9))
         batch.place_many(ids, rng=np.random.default_rng(9))
-        r1 = np.random.default_rng(10)
-        expected = [scalar.retrieve(d, rng=r1) for d in ids]
-        for _ in range(2):  # second pass hits the warm route cache
-            got = batch.retrieve_many(ids,
-                                      rng=np.random.default_rng(10))
+        probe = ids + ids[::-1] + ids
+        entries = [scalar.switch_ids()[0]] * len(probe)
+        expected = [scalar.retrieve(d, entry_switch=e)
+                    for d, e in zip(probe, entries)]
+        for _ in range(2):
+            got = batch.retrieve_many(probe, entry_switches=entries)
             assert got == expected
             # Returned traces are private copies: mutating them must
-            # not corrupt the cache for the next pass.
+            # not corrupt a repeat or the next pass.
             for result in got:
                 result.trace.clear()
 
@@ -429,27 +432,118 @@ class TestPlaneDtypeInvariants:
         flat._assert_invariants()
 
 
-class TestRouteCacheEviction:
-    def test_stats_cache_follows_route_lru(self, monkeypatch):
-        """Evicting a route must evict its decision-mix stats entry:
-        the stats dict can never outgrow the route LRU."""
-        import repro.core.network as core_network
+class TestInBatchDedup:
+    """Each distinct ``(entry, copy_id)`` key of a batch is routed
+    once; every repeat must still match the scalar loop exactly."""
 
-        monkeypatch.setattr(core_network, "_ROUTE_CACHE_CAP", 32)
-        net, _ = build_pair(switches=20)
-        net.place_many([f"cap/{i}" for i in range(300)],
-                       rng=np.random.default_rng(0), copies=2)
-        state = net._fastpath
-        assert len(state.routes) <= 32
-        assert len(state.stats) <= len(state.routes)
-        assert set(state.stats) <= set(state.routes)
-        # Warm hits on the survivors keep both caches aligned.
-        survivors = [key[1] for key in list(state.routes)
-                     if "#copy" not in key[1]]
-        if survivors:
-            net.retrieve_many(survivors,
-                              rng=np.random.default_rng(1))
-            assert set(state.stats) <= set(state.routes)
+    def _probe(self, net, n=60, repeats=3):
+        ids = [f"dup/{i}" for i in range(n)]
+        sids = net.switch_ids()
+        probe = [ids[(i * 7) % n] for i in range(n * repeats)]
+        entries = [sids[(i * 7) % n % 5] for i in range(n * repeats)]
+        return ids, probe, entries
+
+    def test_repeated_entry_and_id(self):
+        scalar, batch = build_pair()
+        ids, probe, entries = self._probe(scalar)
+        expected = [scalar.place(d, payload=i, entry_switch=e)
+                    for i, (d, e) in enumerate(zip(probe, entries))]
+        got = batch.place_many(probe, payloads=list(range(len(probe))),
+                               entry_switches=entries)
+        assert got == expected
+        assert scalar.load_vector() == batch.load_vector()
+        expected = [scalar.retrieve(d, entry_switch=e)
+                    for d, e in zip(probe, entries)]
+        assert batch.retrieve_many(probe,
+                                   entry_switches=entries) == expected
+
+    def test_same_id_from_different_entries(self):
+        scalar, batch = build_pair()
+        ids = [f"fan/{i}" for i in range(20)]
+        scalar.place_many(ids, rng=np.random.default_rng(1))
+        batch.place_many(ids, rng=np.random.default_rng(1))
+        sids = scalar.switch_ids()
+        probe = [d for d in ids for _ in sids]
+        entries = [e for _ in ids for e in sids]
+        expected = [scalar.retrieve(d, entry_switch=e)
+                    for d, e in zip(probe, entries)]
+        got = batch.retrieve_many(probe, entry_switches=entries)
+        assert got == expected
+        assert len({tuple(r.trace) for r in got}) > len(ids)
+
+    def test_replicated_retrieval_with_repeats(self):
+        scalar, batch = build_pair()
+        ids = [f"rep/{i}" for i in range(40)]
+        scalar.place_many(ids, copies=2, rng=np.random.default_rng(2))
+        batch.place_many(ids, copies=2, rng=np.random.default_rng(2))
+        probe = [d for d in ids for _ in range(3)]
+        probe += [f"gone/{i % 5}" for i in range(15)]
+        r1, r2 = (np.random.default_rng(3) for _ in range(2))
+        expected = [scalar.retrieve(d, copies=2, rng=r1) for d in probe]
+        assert batch.retrieve_many(probe, copies=2, rng=r2) == expected
+
+    def test_repeated_hop_budget_failures(self):
+        scalar, batch = build_pair()
+        ids, probe, entries = self._probe(scalar)
+        scalar.place_many(ids, rng=np.random.default_rng(4))
+        batch.place_many(ids, rng=np.random.default_rng(4))
+        expected = [scalar.retrieve(d, entry_switch=e, max_hops=2)
+                    for d, e in zip(probe, entries)]
+        got = batch.retrieve_many(probe, entry_switches=entries,
+                                  max_hops=2)
+        assert got == expected
+        failed = [d for d, r in zip(probe, got) if not r.found]
+        assert len(failed) > len(set(failed)), \
+            "no repeated key failed its hop budget"
+
+    def test_workers_with_repeats(self):
+        single, sharded = build_pair(switches=30)
+        ids, probe, entries = self._probe(single)
+        single.place_many(ids, copies=2, rng=np.random.default_rng(5))
+        sharded.place_many(ids, copies=2, rng=np.random.default_rng(5))
+        try:
+            got = sharded.retrieve_many(probe, entry_switches=entries,
+                                        copies=2, workers=2)
+        finally:
+            sharded.close_worker_pools()
+        assert got == single.retrieve_many(probe,
+                                           entry_switches=entries,
+                                           copies=2)
+
+    def test_every_repeat_gets_a_private_trace(self):
+        net, _ = build_pair()
+        ids, probe, entries = self._probe(net)
+        placed = net.place_many(probe, entry_switches=entries)
+        got = net.retrieve_many(probe, entry_switches=entries)
+        traces = [r.primary.trace for r in placed] + \
+            [r.trace for r in got]
+        assert len({id(t) for t in traces}) == len(traces)
+        reference = [list(t) for t in traces]
+        got[0].trace.append(-1)
+        placed[0].primary.trace.clear()
+        for t, ref in zip(traces[1:len(placed)], reference[1:]):
+            assert t == ref
+        for t, ref in zip(traces[len(placed) + 1:],
+                          reference[len(placed) + 1:]):
+            assert t == ref
+
+    def test_heap_stays_flat_across_batches(self):
+        """Nothing a batch routes outlives it: after warm-up, further
+        passes of fresh ids leave the tracked-object count flat."""
+        import gc
+
+        net, _ = build_pair(switches=30)
+        rng = np.random.default_rng(0)
+        counts = []
+        for p in range(3):
+            ids = [f"heap/{p}/{i}" for i in range(4096)]
+            for lo in range(0, len(ids), 64):
+                chunk = ids[lo:lo + 64]
+                net.place_many(chunk, rng=rng)
+                net.retrieve_many(chunk, rng=rng)
+            gc.collect()
+            counts.append(len(gc.get_objects()))
+        assert counts[2] - counts[1] < 500, counts
 
 
 class TestWorkerSharding:

@@ -121,6 +121,52 @@ class TestBatchScalarTelemetryParity:
         assert "dataplane.overlay_hops_per_request" in hist_names
 
 
+class TestRepeatedKeyTelemetry:
+    def test_repeats_match_scalar_and_count_distinct_keys(self):
+        """A batch routes each distinct ``(entry, copy id)`` key once,
+        yet every repeat emits what the scalar loop emits; the
+        batch-only ``dataplane.batch.requests`` counts distinct keys."""
+        ids = [f"dup/{i}" for i in range(60)]
+        probe = [ids[(i * 7) % 60] for i in range(180)]
+
+        def run(batch):
+            net = _build()
+            sids = net.switch_ids()
+            entries = [sids[(i * 7) % 60 % 5] for i in range(180)]
+            registry = MetricsRegistry(enabled=True)
+            previous = set_default_registry(registry)
+            try:
+                if batch:
+                    net.place_many(probe, payloads=list(probe),
+                                   entry_switches=entries, copies=2)
+                    net.retrieve_many(probe, entry_switches=entries,
+                                      copies=2)
+                    net.retrieve_many(probe, entry_switches=entries,
+                                      max_hops=2)
+                else:
+                    for d, e in zip(probe, entries):
+                        net.place(d, payload=d, entry_switch=e,
+                                  copies=2)
+                    for d, e in zip(probe, entries):
+                        net.retrieve(d, entry_switch=e, copies=2)
+                    for d, e in zip(probe, entries):
+                        net.retrieve(d, entry_switch=e, max_hops=2)
+            finally:
+                set_default_registry(previous)
+            return registry, len(set(zip(entries, probe)))
+
+        scalar, _ = run(batch=False)
+        batch, keys = run(batch=True)
+        assert _normalize(batch.to_dict(include_events=False)) == \
+            _normalize(scalar.to_dict(include_events=False))
+        assert keys < len(probe)
+        # Each call routes every distinct key once: two replicas per
+        # key placed, one nearest-replica round (every item is found),
+        # one hop-bounded round.
+        assert batch.counter_values("dataplane.batch.")[
+            "dataplane.batch.requests"] == 4 * keys
+
+
 class TestFastPathStaysFast:
     def test_telemetry_does_not_force_scalar_fallback(self):
         from repro.dataplane import batch_fastpath_blockers
