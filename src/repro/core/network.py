@@ -60,6 +60,13 @@ from ..obs.bridge import spans_from_tracer
 from ..obs.spans import default_recorder as default_span_recorder
 from .results import PlacementRecord, PlacementResult, RetrievalResult
 
+#: ``registry.family`` arguments of the labelled series emitted per
+#: switch, server and region; the scalar and batch paths share them.
+_TRANSITS = ("counter", "dataplane.switch_transits", "switch")
+_SERVER_LOAD = ("gauge", "edge.server_load", ("switch", "serial"))
+_REGION_ACCESSES = ("counter", "demand.region_accesses", "region")
+
+
 class _FastPathState:
     """Epoch-scoped request fast path: the compiled router plus the
     hop-distance cache that shares its lifetime.
@@ -232,12 +239,12 @@ class GredNetwork:
         registry = default_registry()
         if not registry.enabled:
             return
+        load = registry.family(*_SERVER_LOAD)
         total = 0
         count = 0
         for switch in sorted(self.server_map):
             for server in self.server_map[switch]:
-                registry.gauge("edge.server_load", switch=switch,
-                               serial=server.serial).set(server.load)
+                load[switch, server.serial].set(server.load)
                 total += server.load
                 count += 1
         registry.gauge("edge.servers").set(count)
@@ -346,16 +353,10 @@ class GredNetwork:
             if size is not None:
                 registry.histogram("core.payload_bytes",
                                    buckets=BYTE_BUCKETS).observe(size)
-            registry.gauge("edge.server_load", switch=target.switch,
-                           serial=target.serial).set(target.load)
-            for sid in route.trace:
-                registry.counter("dataplane.switch_transits",
-                                 switch=sid).inc()
-            registry.demand.record(copy_id)
-            registry.counter(
-                "demand.region_accesses",
-                region=demand_region(*packet.position),
-            ).inc()
+            registry.family(*_SERVER_LOAD)[
+                target.switch, target.serial].set(target.load)
+            self._emit_route_accesses(registry, route.trace, copy_id,
+                                      packet.position)
         if tracer is not None:
             spans_from_tracer(recorder, tracer, parent=handle.span)
             handle.set(destination=delivery.switch,
@@ -514,14 +515,8 @@ class GredNetwork:
         if tracer is not None:
             spans_from_tracer(recorder, tracer, parent=handle.span)
         if registry.enabled:
-            for sid in route.trace:
-                registry.counter("dataplane.switch_transits",
-                                 switch=sid).inc()
-            registry.demand.record(copy_id)
-            registry.counter(
-                "demand.region_accesses",
-                region=demand_region(*packet.position),
-            ).inc()
+            self._emit_route_accesses(registry, route.trace, copy_id,
+                                      packet.position)
         delivery = route.delivery
         candidates = [
             (self.server(delivery.switch, delivery.primary_serial), 0)
@@ -691,8 +686,9 @@ class GredNetwork:
         batches fall back to the scalar path item by item (identical
         results, just not vectorized).  Telemetry does *not* force the
         fallback: the batch paths emit the same aggregates with numpy
-        reductions (see ``_emit_place_telemetry`` /
-        ``_emit_retrieve_telemetry``), byte-equal to a scalar run.
+        reductions (see ``_emit_route_telemetry``,
+        ``_emit_place_telemetry``, ``_emit_transits`` and
+        ``_emit_demand``), byte-equal to a scalar run.
 
         Evaluates the same ``FASTPATH_GATES`` list as
         :func:`~repro.dataplane.fastpath.batch_fastpath_blockers`, so
@@ -861,11 +857,11 @@ class GredNetwork:
         indices (the demand-adaptive embedding signal)."""
         if not flats:
             return
-        registry.demand.record_many(flat_ids[f] for f in flats)
+        registry.demand.record_many([flat_ids[f] for f in flats])
         counts = self._region_counts(positions, flats)
-        for region in np.flatnonzero(counts).tolist():
-            registry.counter("demand.region_accesses",
-                             region=region).inc(int(counts[region]))
+        regions = np.flatnonzero(counts)
+        registry.family(*_REGION_ACCESSES).inc_counts(
+            regions.tolist(), counts[regions].tolist())
 
     @staticmethod
     def _emit_transits(registry, transit_switches) -> None:
@@ -875,9 +871,21 @@ class GredNetwork:
             return
         counts = np.bincount(np.asarray(transit_switches,
                                         dtype=np.int64))
-        for sid in np.flatnonzero(counts).tolist():
-            registry.counter("dataplane.switch_transits",
-                             switch=sid).inc(int(counts[sid]))
+        sids = np.flatnonzero(counts)
+        registry.family(*_TRANSITS).inc_counts(
+            sids.tolist(), counts[sids].tolist())
+
+    @staticmethod
+    def _emit_route_accesses(registry, trace, copy_id: str,
+                             position) -> None:
+        """The per-request form of :meth:`_emit_transits` plus
+        :meth:`_emit_demand`: one scalar route's transits and its
+        demand signal."""
+        transits = registry.family(*_TRANSITS)
+        for sid in trace:
+            transits[sid].inc()
+        registry.demand.record(copy_id)
+        registry.family(*_REGION_ACCESSES)[demand_region(*position)].inc()
 
     @staticmethod
     def _emit_route_telemetry(registry, kind: str, stats,
@@ -897,6 +905,8 @@ class GredNetwork:
         if routed:
             # The engine fetches these once per routed packet, so they
             # exist (possibly at zero) as soon as one probe enters it.
+            # Three generator sums, not a ``zip(*routed)`` transpose:
+            # on zipf-mixed the transpose tripled full collections.
             registry.counter("dataplane.greedy_forwards").inc(
                 sum(s[0] for s in routed))
             registry.counter("dataplane.vl_starts").inc(
@@ -937,10 +947,10 @@ class GredNetwork:
             registry.histogram(
                 "core.payload_bytes", buckets=BYTE_BUCKETS,
             ).observe_many(np.asarray(sizes, dtype=np.float64))
+        load = registry.family(*_SERVER_LOAD)
         for key in sorted(servers):
             server = servers[key]
-            registry.gauge("edge.server_load", switch=server.switch,
-                           serial=server.serial).set(server.load)
+            load[server.switch, server.serial].set(server.load)
         self._emit_transits(registry, transit_switches)
         self._emit_demand(registry, flat_ids, flats, positions)
 
@@ -1577,10 +1587,8 @@ class GredNetwork:
                     registry = default_registry()
                     if registry.enabled:
                         registry.counter("core.deletes").inc()
-                        registry.gauge(
-                            "edge.server_load", switch=server.switch,
-                            serial=server.serial,
-                        ).set(server.load)
+                        registry.family(*_SERVER_LOAD)[
+                            server.switch, server.serial].set(server.load)
                     break
             if stamp is not None and not hit:
                 # No live copy at the home (it may sit on a crashed,

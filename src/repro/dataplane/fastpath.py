@@ -131,7 +131,7 @@ class _FlatPlane:
     against a finite target) and kind 2 / nid -1 sentinels.
     """
 
-    __slots__ = ("sid_sorted", "sid", "ox", "oy", "in_dt", "ns",
+    __slots__ = ("sid_sorted", "sid", "in_dt", "ns",
                  "cx", "cy", "kind", "nid", "nrow",
                  "chain_off", "chain_len", "chain_err",
                  "chain_sids", "chain_errors", "chains_built",
@@ -144,8 +144,6 @@ class _FlatPlane:
         width = max((len(states[sid].cands) for sid in sids), default=1)
         self.sid_sorted = np.asarray(sids, dtype=np.int64)
         self.sid = self.sid_sorted
-        self.ox = np.empty(n, dtype=np.float64)
-        self.oy = np.empty(n, dtype=np.float64)
         self.in_dt = np.empty(n, dtype=bool)
         self.ns = np.empty(n, dtype=np.int64)
         self.cx = np.full((n, width), np.inf, dtype=np.float64)
@@ -163,8 +161,6 @@ class _FlatPlane:
                  rows: Dict[int, int]) -> None:
         """(Re)write row ``r`` from a compiled switch, keeping the
         scalar walker's cached copy of the row current."""
-        self.ox[r] = state.x
-        self.oy[r] = state.y
         self.in_dt[r] = state.in_dt
         self.ns[r] = max(state.num_servers, 0)
         self.cx[r, :] = np.inf
@@ -213,7 +209,7 @@ class _FlatPlane:
             if dtype != np.int64:
                 raise AssertionError(
                     f"_FlatPlane.{name} must be int64, got {dtype}")
-        for name in ("ox", "oy", "cx", "cy"):
+        for name in ("cx", "cy"):
             dtype = getattr(self, name).dtype
             if dtype != np.float64:
                 raise AssertionError(

@@ -44,9 +44,9 @@ from .fastpath import _FlatPlane, _PackedRoutes, _route_batch_packed
 #: Plane fields exported into the shared block.  ``sid`` is an alias of
 #: ``sid_sorted`` and rebuilt on attach; ``chain_errors`` is a small
 #: list of strings shipped in the spec itself.
-_SHARED_FIELDS = ("sid_sorted", "ox", "oy", "in_dt", "ns", "cx", "cy",
-                  "kind", "nid", "nrow", "chain_off", "chain_len",
-                  "chain_err", "chain_sids")
+_SHARED_FIELDS = ("sid_sorted", "in_dt", "ns", "cx", "cy", "kind", "nid",
+                  "nrow", "chain_off", "chain_len", "chain_err",
+                  "chain_sids")
 
 _ALIGN = 64
 

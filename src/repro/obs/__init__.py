@@ -9,7 +9,9 @@ The layer is deliberately dependency-free and cheap when off:
   ``gred metrics``) switches telemetry on;
 * :class:`MetricsRegistry` owns :class:`Counter` / :class:`Gauge` /
   :class:`Histogram` instruments (histograms carry bucket counts and
-  p50/p90/p99 summaries) plus a bounded :class:`EventLog`;
+  p50/p90/p99 summaries) plus a bounded :class:`EventLog`; a labelled
+  series emitted per switch/server/region goes through a cached
+  :class:`InstrumentFamily` (:meth:`MetricsRegistry.family`);
 * :class:`PhaseTimer` / :func:`timed` record wall time into histograms;
 * :func:`render_prometheus` and :func:`write_json` export a registry
   (or a saved dump) for scraping and offline analysis.
@@ -47,7 +49,9 @@ from .instruments import (
     Gauge,
     HOP_BUCKETS,
     Histogram,
+    InstrumentFamily,
     MetricsRegistry,
+    NULL_FAMILY,
     NULL_INSTRUMENT,
     NullInstrument,
     TIME_BUCKETS,
@@ -125,7 +129,9 @@ __all__ = [
     "Gauge",
     "HOP_BUCKETS",
     "Histogram",
+    "InstrumentFamily",
     "MetricsRegistry",
+    "NULL_FAMILY",
     "NULL_INSTRUMENT",
     "NULL_SPAN",
     "NullInstrument",

@@ -15,11 +15,15 @@ Instruments live in a :class:`MetricsRegistry`.  A *disabled* registry
 hands out a shared null instrument whose methods do nothing, so
 instrumented hot paths cost one attribute check when telemetry is off —
 the repository-wide default registry (:mod:`repro.obs`) starts
-disabled for exactly this reason.
+disabled for exactly this reason.  A labelled series emitted per
+switch, server or region goes through an :class:`InstrumentFamily`
+(:meth:`MetricsRegistry.family`), which resolves each label value to
+its instrument once per registry instead of once per emission.
 """
 
 from __future__ import annotations
 
+import collections
 import threading
 from collections import deque
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -180,16 +184,13 @@ class Histogram(_Instrument):
         if arr.size == 0:
             return
         # First bound with value <= bound == count of bounds < value.
-        idx = np.searchsorted(np.asarray(self.buckets), arr,
-                              side="left")
+        idx = np.searchsorted(self.buckets, arr, side="left")
         counts = np.bincount(idx, minlength=len(self.buckets) + 1)
-        for i, c in enumerate(counts):
-            if c:
-                self._bucket_counts[i] += int(c)
+        self._bucket_counts = (counts + self._bucket_counts).tolist()
         self._count += int(arr.size)
-        self._sum += float(np.sum(arr))
-        lo = float(np.min(arr))
-        hi = float(np.max(arr))
+        self._sum += float(arr.sum())
+        lo = float(arr.min())
+        hi = float(arr.max())
         if self._min is None or lo < self._min:
             self._min = lo
         if self._max is None or hi > self._max:
@@ -294,23 +295,22 @@ def demand_region(x: float, y: float, grid: int = DEMAND_GRID,
 class DemandTracker:
     """Per-item access counts for the demand-adaptive embedding signal.
 
-    A plain dict of ``item id -> access count``, fed by both the scalar
-    path and the batch fast path (the latter via
-    :meth:`record_many`).  Deliberately not a labeled counter family:
-    item cardinality is unbounded, and the embedding layer wants the
-    raw map, not an exposition series per item.
+    A :class:`collections.Counter` of ``item id -> access count``, fed
+    by both the scalar path and the batch fast path (the latter via
+    :meth:`record_many`, one C-level ``update``).  Deliberately not a
+    labeled counter family: item cardinality is unbounded, and the
+    embedding layer wants the raw map, not an exposition series per
+    item.
     """
 
     def __init__(self) -> None:
-        self._counts: Dict[str, int] = {}
+        self._counts: collections.Counter = collections.Counter()
 
     def record(self, item_id: str, count: int = 1) -> None:
-        self._counts[item_id] = self._counts.get(item_id, 0) + count
+        self._counts[item_id] += count
 
     def record_many(self, item_ids: Iterable[str]) -> None:
-        counts = self._counts
-        for item_id in item_ids:
-            counts[item_id] = counts.get(item_id, 0) + 1
+        self._counts.update(item_ids)
 
     @property
     def total(self) -> int:
@@ -342,6 +342,71 @@ class DemandTracker:
         }
 
 
+class InstrumentFamily:
+    """The children of one labelled series, resolved once each.
+
+    ``family[value]`` is the instrument the registry getter returns for
+    that label value (a tuple of values for a multi-label family); the
+    getter runs only on a value's first use, so exports see exactly the
+    instruments a getter-per-emission loop would create.  Children are
+    keyed on the value the getter normalizes to (``str``), so
+    ``family[5]`` and ``family["5"]`` are one series.
+    """
+
+    __slots__ = ("_registry", "kind", "name", "labels", "_single",
+                 "_children")
+
+    def __init__(self, registry: "MetricsRegistry", kind: str, name: str,
+                 labels) -> None:
+        self._registry = registry
+        self.kind = kind
+        self.name = name
+        self.labels: Tuple[str, ...] = ((labels,) if isinstance(labels, str)
+                                        else tuple(labels))
+        self._single = len(self.labels) == 1
+        self._children: Dict[Any, _Instrument] = {}
+
+    def __getitem__(self, value):
+        # A list, not ``map``: ``tuple()`` over an unsized iterator
+        # resizes its result, which leaves one extra count per call in
+        # the collector's allocation counter and so triggers extra
+        # collections.
+        key = (str(value) if self._single
+               else tuple([str(v) for v in value]))
+        try:
+            return self._children[key]
+        except KeyError:
+            values = (key,) if self._single else key
+            child = getattr(self._registry, self.kind)(
+                self.name, **dict(zip(self.labels, values)))
+            self._children[key] = child
+            return child
+
+    def inc_counts(self, values: Iterable[Any],
+                   counts: Iterable[float]) -> None:
+        """``family[v].inc(c)`` for each pair: feeds the non-zero bins
+        of a ``bincount`` straight into the children."""
+        for value, count in zip(values, counts):
+            self[value].inc(count)
+
+
+class _NullFamily:
+    """Family stand-in of a disabled registry: every child is the
+    null instrument."""
+
+    __slots__ = ()
+
+    def __getitem__(self, value) -> NullInstrument:
+        return NULL_INSTRUMENT
+
+    def inc_counts(self, values, counts) -> None:
+        pass
+
+
+#: The singleton null family.
+NULL_FAMILY = _NullFamily()
+
+
 class MetricsRegistry:
     """Owns named instruments and the structured event log.
 
@@ -368,50 +433,58 @@ class MetricsRegistry:
         self._info_level = EventLevel.INFO
         self._instruments: Dict[Tuple[str, str, LabelPairs],
                                 _Instrument] = {}
+        self._families: Dict[Tuple[str, str, Any], InstrumentFamily] = {}
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # instrument getters (get-or-create)
     # ------------------------------------------------------------------
-    def _get(self, kind: str, factory, name: str, help: str,
-             labels: Dict[str, Any]):
+    def _get(self, cls, name: str, help: str, labels: Dict[str, Any],
+             **options: Any):
         if not self.enabled:
             return NULL_INSTRUMENT
-        key = (kind, name, _label_pairs(labels))
+        key = (cls.kind, name, _label_pairs(labels) if labels else ())
         instrument = self._instruments.get(key)
         if instrument is None:
             with self._lock:
                 instrument = self._instruments.get(key)
                 if instrument is None:
-                    instrument = factory(key[2])
+                    instrument = cls(name, help, labels=key[2],
+                                     **options)
                     self._instruments[key] = instrument
         return instrument
 
     def counter(self, name: str, help: str = "", **labels: Any) -> Counter:
-        return self._get(
-            "counter",
-            lambda pairs: Counter(name, help, labels=pairs),
-            name, help, labels,
-        )
+        return self._get(Counter, name, help, labels)
 
     def gauge(self, name: str, help: str = "", **labels: Any) -> Gauge:
-        return self._get(
-            "gauge",
-            lambda pairs: Gauge(name, help, labels=pairs),
-            name, help, labels,
-        )
+        return self._get(Gauge, name, help, labels)
 
     def histogram(self, name: str, help: str = "",
                   buckets: Optional[Sequence[float]] = None,
                   **labels: Any) -> Histogram:
-        return self._get(
-            "histogram",
-            lambda pairs: Histogram(
-                name, help, buckets=buckets,
-                reservoir_size=self.reservoir_size, labels=pairs,
-            ),
-            name, help, labels,
-        )
+        return self._get(Histogram, name, help, labels, buckets=buckets,
+                         reservoir_size=self.reservoir_size)
+
+    def family(self, kind: str, name: str, labels):
+        """The cached :class:`InstrumentFamily` of the ``kind``
+        (``"counter"`` or ``"gauge"``) series ``name`` over the label
+        name ``labels`` (a string, or a tuple of names).
+
+        One family exists per registry and series until :meth:`reset`;
+        a disabled registry hands out the shared
+        :data:`NULL_FAMILY` and caches nothing.
+        """
+        if not self.enabled:
+            return NULL_FAMILY
+        key = (kind, name, labels)
+        family = self._families.get(key)
+        if family is None:
+            if kind not in ("counter", "gauge"):
+                raise ValueError(f"no instrument family of kind {kind!r}")
+            family = self._families[key] = InstrumentFamily(
+                self, kind, name, labels)
+        return family
 
     def timer(self, name: str, help: str = "",
               buckets: Optional[Sequence[float]] = None, **labels: Any):
@@ -487,10 +560,11 @@ class MetricsRegistry:
         return out
 
     def reset(self) -> None:
-        """Drop every instrument, all logged events, and the demand
-        map."""
+        """Drop every instrument (and the families caching them), all
+        logged events, and the demand map."""
         with self._lock:
             self._instruments.clear()
+            self._families.clear()
         self.event_log.clear()
         self.demand.clear()
 

@@ -412,7 +412,7 @@ class TestPlaneDtypeInvariants:
         flat = net._fast_state().router._ensure_flat()
         for name in ("sid_sorted", "sid", "ns", "kind", "nid", "nrow"):
             assert getattr(flat, name).dtype == np.int64, name
-        for name in ("ox", "oy", "cx", "cy"):
+        for name in ("cx", "cy"):
             assert getattr(flat, name).dtype == np.float64, name
         assert flat.chains_built
         for name in ("chain_off", "chain_len", "chain_err"):

@@ -513,3 +513,129 @@ class TestDemandTracker:
         # out-of-range clamps to edge cells
         assert obs.demand_region(-1.0, 2.0) == \
             (obs.DEMAND_GRID - 1) * obs.DEMAND_GRID
+
+
+def _small_net():
+    from repro import GredNetwork, attach_uniform, brite_waxman_graph
+
+    topo, _ = brite_waxman_graph(
+        16, min_degree=3, rng=np.random.default_rng(5))
+    return GredNetwork(topo, attach_uniform(topo.nodes(), 2),
+                       cvt_iterations=5, seed=0)
+
+
+class TestInstrumentFamily:
+    def test_child_is_the_getter_instrument(self, registry):
+        transits = registry.family("counter", "t.transits", "switch")
+        child = transits[5]
+        assert child is registry.counter("t.transits", switch=5)
+        assert child is registry.counter("t.transits", switch="5")
+        assert transits["5"] is child
+        assert transits[6] is not child
+        assert child.labels == (("switch", "5"),)
+
+    def test_two_label_gauge_child(self, registry):
+        load = registry.family("gauge", "t.load", ("switch", "serial"))
+        child = load[3, 1]
+        assert child is registry.gauge("t.load", switch=3, serial=1)
+        assert child is registry.gauge("t.load", serial="1",
+                                       switch="3")
+        assert load["3", "1"] is child
+        assert load[1, 3] is not child
+
+    def test_family_is_cached_and_lazy(self, registry):
+        a = registry.family("counter", "t.lazy", "region")
+        assert registry.family("counter", "t.lazy", "region") is a
+        # No instrument exists until a label value is used.
+        assert registry.lookup("counter", "t.lazy", region=0) is None
+        assert registry.to_dict()["counters"] == []
+
+    def test_inc_counts_matches_getter_emission(self, registry):
+        other = obs.MetricsRegistry()
+        counts = np.bincount([4, 1, 4, 9, 4])
+        nonzero = np.flatnonzero(counts)
+        registry.family("counter", "t.c", "switch").inc_counts(
+            nonzero.tolist(), counts[nonzero].tolist())
+        for sid in nonzero.tolist():
+            other.counter("t.c", switch=sid).inc(int(counts[sid]))
+        assert registry.to_dict(include_events=False) == \
+            other.to_dict(include_events=False)
+        assert registry.counter_values() == {
+            "t.c{switch=1}": 1.0, "t.c{switch=4}": 3.0,
+            "t.c{switch=9}": 1.0}
+
+    def test_histogram_family_rejected(self, registry):
+        with pytest.raises(ValueError, match="histogram"):
+            registry.family("histogram", "t.h", "switch")
+
+    def test_reset_drops_cached_children(self, registry):
+        old = registry.family("counter", "t.r", "switch")
+        old[2].inc(5)
+        registry.reset()
+        fresh = registry.family("counter", "t.r", "switch")
+        assert fresh is not old
+        fresh[2].inc()
+        assert registry.counter_values() == {"t.r{switch=2}": 1.0}
+        assert fresh[2] is registry.counter("t.r", switch=2)
+
+    def test_disabled_registry_creates_no_family(self):
+        reg = MetricsRegistry(enabled=False)
+        family = reg.family("counter", "t.off", "switch")
+        assert family is obs.NULL_FAMILY
+        assert family[3] is NULL_INSTRUMENT
+        family.inc_counts([1, 2], [3, 4])
+        family[3].inc()
+        assert reg.to_dict()["counters"] == []
+        # Enabling later hands out a real family, still lazy.
+        reg.enabled = True
+        live = reg.family("counter", "t.off", "switch")
+        assert isinstance(live, obs.InstrumentFamily)
+        assert reg.to_dict()["counters"] == []
+
+    def test_batches_after_reset_or_swap_use_fresh_instruments(self):
+        """Families cached by one batch never leak into the next
+        registry (swap) or past a reset: the second batch's telemetry
+        equals what a fresh registry records for it alone."""
+        ids = [f"fam/{i}" for i in range(40)]
+        first, second = ids[:20], ids[20:]
+
+        def batch(net, chunk, seed):
+            net.place_many(chunk, payloads=chunk, copies=2,
+                           rng=np.random.default_rng(seed))
+            net.retrieve_many(chunk, copies=2,
+                              rng=np.random.default_rng(seed + 1))
+
+        def labelled(reg):
+            dump = reg.to_dict(include_events=False)
+            return {kind: [e for e in dump[kind] if e["labels"]]
+                    for kind in ("counters", "gauges")}
+
+        expected = MetricsRegistry()
+        net = _small_net()
+        previous = obs.set_default_registry(MetricsRegistry())
+        try:
+            batch(net, first, 1)
+            obs.set_default_registry(expected)
+            batch(net, second, 3)
+
+            net = _small_net()
+            reg_a = MetricsRegistry()
+            obs.set_default_registry(reg_a)
+            batch(net, first, 1)
+            before = reg_a.to_dict(include_events=False)
+            reg_b = MetricsRegistry()
+            obs.set_default_registry(reg_b)
+            batch(net, second, 3)
+            # The swapped-out registry saw nothing of the second batch.
+            assert reg_a.to_dict(include_events=False) == before
+            assert labelled(reg_b) == labelled(expected)
+
+            net = _small_net()
+            reg_c = MetricsRegistry()
+            obs.set_default_registry(reg_c)
+            batch(net, first, 1)
+            reg_c.reset()
+            batch(net, second, 3)
+            assert labelled(reg_c) == labelled(expected)
+        finally:
+            obs.set_default_registry(previous)

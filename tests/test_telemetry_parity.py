@@ -167,6 +167,95 @@ class TestRepeatedKeyTelemetry:
             "dataplane.batch.requests"] == 4 * keys
 
 
+class TestRepeatedBatchTelemetry:
+    def test_batches_into_one_registry_match_scalar(self):
+        """Several batches into the same registry reuse the families'
+        cached children; the result must still equal the scalar loop,
+        including the scalar-path emitters (delete, load gauges)."""
+        ids = [f"rb/{i}" for i in range(90)]
+
+        def run(batch):
+            net = _build()
+            sids = net.switch_ids()
+            net.extend_range(sids[0], 0)
+            entries = [sids[(i * 5) % len(sids)]
+                       for i in range(len(ids))]
+            registry = MetricsRegistry(enabled=True)
+            previous = set_default_registry(registry)
+            try:
+                for hi in range(30, len(ids) + 1, 30):
+                    chunk = slice(hi - 30, hi)
+                    if batch:
+                        net.place_many(ids[chunk], payloads=ids[chunk],
+                                       entry_switches=entries[chunk],
+                                       copies=2)
+                        net.retrieve_many(ids[:hi],
+                                          entry_switches=entries[:hi],
+                                          copies=2)
+                    else:
+                        for d, e in zip(ids[chunk], entries[chunk]):
+                            net.place(d, payload=d, entry_switch=e,
+                                      copies=2)
+                        for d, e in zip(ids[:hi], entries[:hi]):
+                            net.retrieve(d, entry_switch=e, copies=2)
+                    net.delete(ids[hi - 1], copies=2,
+                               entry_switch=entries[0])
+                net.record_load_gauges()
+            finally:
+                set_default_registry(previous)
+            return _normalize(registry.to_dict(include_events=False))
+
+        assert run(batch=True) == run(batch=False)
+
+
+class TestLookupBudget:
+    def test_warm_registry_getter_calls_do_not_scale(self, monkeypatch):
+        """On a warm registry a batch resolves each labelled series
+        through its family, so registry getter calls per call are a
+        small constant however many switches, servers and regions the
+        batch touches."""
+        net = _build(switches=40)
+        sids = net.switch_ids()
+        calls = {"n": 0}
+        for attr in ("counter", "gauge", "histogram"):
+            getter = getattr(MetricsRegistry, attr)
+
+            def counted(self, *args, _getter=getter, **kwargs):
+                calls["n"] += 1
+                return _getter(self, *args, **kwargs)
+
+            monkeypatch.setattr(MetricsRegistry, attr, counted)
+
+        def getter_calls(n):
+            ids = [f"lb{n}/{i}" for i in range(n)]
+            entries = [sids[(i * 7) % len(sids)] for i in range(n)]
+
+            def batch():
+                net.place_many(ids, payloads=ids,
+                               entry_switches=entries, copies=2)
+                net.retrieve_many(ids, entry_switches=entries,
+                                  copies=2)
+
+            batch()  # warm: first use creates the children
+            calls["n"] = 0
+            batch()
+            touched = len(registry.counter_values(
+                "dataplane.switch_transits"))
+            return calls["n"], touched
+
+        registry = MetricsRegistry(enabled=True)
+        previous = set_default_registry(registry)
+        try:
+            small, touched_small = getter_calls(4)
+            large, touched_large = getter_calls(200)
+        finally:
+            set_default_registry(previous)
+        assert touched_large > touched_small
+        # Two calls: place (~10 getters) and retrieve (~12).
+        assert small <= 30
+        assert large == small
+
+
 class TestFastPathStaysFast:
     def test_telemetry_does_not_force_scalar_fallback(self):
         from repro.dataplane import batch_fastpath_blockers
